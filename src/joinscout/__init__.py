@@ -64,7 +64,6 @@ from .graph import (
     export_dot,
     graph_from_json,
     graph_to_json,
-    retained,
     shortest_path,
 )
 from .matching import (
@@ -149,7 +148,6 @@ __all__ = [
     "load_ground_truth",
     "remove_chars",
     "reorder_name",
-    "retained",
     "sample_distinct",
     "save_catalog",
     "score_pair",

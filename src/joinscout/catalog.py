@@ -171,12 +171,6 @@ class Catalog:
             for tab in db.tables:
                 yield TableRef(db.name, tab.name)
 
-    def column_refs(self) -> Iterator[ColumnRef]:
-        for db in self.databases:
-            for tab in db.tables:
-                for col in tab.columns:
-                    yield ColumnRef(db.name, tab.name, col.name)
-
 
 def _require(condition: bool, message: str) -> None:
     if not condition:

@@ -23,11 +23,9 @@ from .catalog import Catalog, TableRef
 from .errors import UnknownTableError
 from .graph import EdgeKind, JoinPath
 from .matching import MatchConfig
-from .similarity import indel_ratio, sorted_token_form
+from .similarity import similarity_matrix, sorted_token_form
 
 __all__ = ["ResultTable", "execute_path", "write_csv"]
-
-_MISSING = object()
 
 
 @dataclass
@@ -55,29 +53,6 @@ class ResultTable:
             else:
                 out.append(f"{ref.database}.{ref.table}.{name}")
         return out
-
-
-def _best_fuzzy_match(
-    left_form: str,
-    right_values: list[str],
-    right_forms: dict[str, str],
-) -> tuple[float, str]:
-    """Best (score, value) over right values.
-
-    ``right_values`` must be sorted: on score ties the first hit wins, which
-    is exactly the lexicographically smallest value.
-    """
-    best_score = -1.0
-    best_value = ""
-    for rv in right_values:
-        rform = right_forms[rv]
-        score = 1.0 if left_form == rform else indel_ratio(left_form, rform)
-        if score > best_score:
-            best_score = score
-            best_value = rv
-            if best_score == 1.0:
-                break
-    return best_score, best_value
 
 
 def execute_path(
@@ -141,24 +116,25 @@ def execute_path(
                 if value and value not in first_row_of:
                     first_row_of[value] = ridx
             right_values = sorted(first_row_of)
-            right_forms = {v: sorted_token_form(v) for v in right_values}
-            match_cache: dict[str, tuple[float, str] | None] = {}
+            left_values = list(dict.fromkeys(r[lpos] for r in last_rows if r[lpos]))
+            hits: dict[str, tuple[tuple[str, ...], str]] = {}
+            if right_values:
+                sims = similarity_matrix(
+                    [sorted_token_form(v) for v in left_values],
+                    [sorted_token_form(v) for v in right_values],
+                )
+                # argmax takes the first maximum: the smallest tied right value.
+                best = zip(sims.argmax(axis=1).tolist(), sims.max(axis=1).tolist())
+                for lval, (ridx, score) in zip(left_values, best):
+                    if score >= cfg.row_threshold:
+                        rrow = right_rows[first_row_of[right_values[ridx]]]
+                        hits[lval] = (rrow, f"{score:.3f}")
             for arow, lrow in zip(acc_rows, last_rows):
-                lval = lrow[lpos]
-                if not lval or not right_values:
-                    continue
-                hit = match_cache.get(lval, _MISSING)
-                if hit is _MISSING:
-                    score, rval = _best_fuzzy_match(
-                        sorted_token_form(lval), right_values, right_forms
-                    )
-                    hit = (score, rval) if score >= cfg.row_threshold else None
-                    match_cache[lval] = hit
+                hit = hits.get(lrow[lpos])
                 if hit is None:
                     continue
-                score, rval = hit
-                rrow = right_rows[first_row_of[rval]]
-                new_acc.append(arow + rrow + (f"{score:.3f}",))
+                rrow, score_text = hit
+                new_acc.append(arow + rrow + (score_text,))
                 new_last.append(rrow)
             score_name = f"_fuzzy_score_{hop}"
             columns.extend((right_ref, n) for n in right_table.column_names)

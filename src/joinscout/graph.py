@@ -39,7 +39,6 @@ __all__ = [
     "export_dot",
     "graph_from_json",
     "graph_to_json",
-    "retained",
     "shortest_path",
 ]
 
@@ -265,11 +264,6 @@ def shortest_path(graph: JoinGraph, source: TableRef, target: TableRef) -> JoinP
                 (weight + edge.weight, hops + 1, tables + (nxt,), counter, edges + (edge,)),
             )
     return None
-
-
-def retained(path: JoinPath) -> float:
-    """Estimated fraction of rows surviving the whole path: ``2 ** -W``."""
-    return 2.0 ** -path.total_weight
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 import zlib
 from difflib import SequenceMatcher
-from typing import Protocol, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "lcs_length",
     "normalize",
     "semantic_sim",
+    "similarity_matrix",
     "sorted_token_form",
     "token_overlap",
     "token_set",
@@ -106,6 +107,61 @@ def indel_ratio(a: str, b: str) -> float:
     if total == 0:
         return 1.0
     return 2.0 * lcs_length(a, b) / total
+
+
+# Pairs advanced together by ``similarity_matrix``; this many uint64 words
+# bounds each of its temporaries, whatever the size of the output.
+_LANE_BLOCK = 4096
+_LANE_BITS = 64
+
+
+def similarity_matrix(left_forms: Sequence[str], right_forms: Sequence[str]) -> np.ndarray:
+    """``indel_ratio`` of every left × right pair, as an ``(L, R)`` array.
+
+    One uint64 lane per pair runs the bit-parallel LCS recurrence of
+    :func:`lcs_length` with the left string as the bit pattern (Hyyrö,
+    "Bit-parallel LCS-length computation revisited", 2004).  Right strings
+    are padded with character index 0, whose mask is empty, so padding
+    leaves a lane unchanged.  Left strings longer than 64 characters take
+    their row from :func:`indel_ratio` instead.
+    """
+    out = np.empty((len(left_forms), len(right_forms)))
+    short = []
+    for i, left in enumerate(left_forms):
+        if len(left) <= _LANE_BITS:
+            short.append(i)
+        else:
+            out[i] = [indel_ratio(left, right) for right in right_forms]
+    if not short or not right_forms:
+        return out
+
+    # Character index 0 is padding, and also every character no left has.
+    alphabet = {ch: k for k, ch in enumerate(sorted({ch for i in short for ch in left_forms[i]}), 1)}
+    masks = [[0] * (len(alphabet) + 1) for _ in short]
+    for row, i in zip(masks, short):
+        for bit, ch in enumerate(left_forms[i]):
+            row[alphabet[ch]] |= 1 << bit
+    flat_masks = np.array(masks, dtype=np.uint64).ravel()
+    left_len = np.array([len(left_forms[i]) for i in short])
+    right_len = np.array([len(s) for s in right_forms])
+    codes = np.zeros((right_len.max(), len(right_forms)), dtype=np.intp)
+    for j, s in enumerate(right_forms):
+        codes[: len(s), j] = [alphabet.get(ch, 0) for ch in s]
+
+    rows = np.array(short)
+    lanes = len(short) * len(right_forms)
+    for start in range(0, lanes, _LANE_BLOCK):
+        li, rj = np.divmod(np.arange(start, min(start + _LANE_BLOCK, lanes)), len(right_forms))
+        mask_base = li * (len(alphabet) + 1)
+        v = np.full(len(li), np.iinfo(np.uint64).max, dtype=np.uint64)
+        for step_codes in codes:
+            u = v & flat_masks[mask_base + step_codes[rj]]
+            v = (v + u) | (v - u)
+        # Bits above the pattern stay set, so the clear bits count the LCS.
+        total = left_len[li] + right_len[rj]
+        ratio = 2.0 * np.bitwise_count(~v) / np.maximum(total, 1)
+        out[rows[li], rj] = np.where(total == 0, 1.0, ratio)
+    return out
 
 
 def sorted_token_form(text: str) -> str:

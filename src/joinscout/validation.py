@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 from .catalog import Catalog
 from .errors import EmptyColumnError
 from .matching import ColumnMatch, MatchConfig
-from .similarity import indel_ratio, sorted_token_form
+from .similarity import similarity_matrix, sorted_token_form
 
 __all__ = [
     "ValidationResult",
@@ -57,37 +57,14 @@ def value_score(left_values: Sequence[str], right_values: Sequence[str]) -> floa
     Empty strings are dropped first; raises :class:`EmptyColumnError` if
     either side has nothing left.
     """
-    lefts = [v for v in left_values if v]
-    rights = [v for v in right_values if v]
+    lefts = [sorted_token_form(v) for v in left_values if v]
+    rights = sorted({sorted_token_form(v) for v in right_values if v})
     if not lefts or not rights:
         raise EmptyColumnError("value_score needs non-empty values on both sides")
 
-    right_forms = [sorted_token_form(v) for v in rights]
-    exact = set(right_forms)
-    cache: dict[str, float] = {}
-    total = 0.0
-    for value in lefts:
-        form = sorted_token_form(value)
-        best = cache.get(form)
-        if best is None:
-            if form in exact:
-                best = 1.0
-            else:
-                best = 0.0
-                flen = len(form)
-                for rform in right_forms:
-                    # 2*min/(sum) bounds the indel ratio; skip hopeless pairs.
-                    denom = flen + len(rform)
-                    if denom and 2.0 * min(flen, len(rform)) / denom <= best:
-                        continue
-                    score = indel_ratio(form, rform)
-                    if score > best:
-                        best = score
-                        if best == 1.0:
-                            break
-            cache[form] = best
-        total += best
-    return total / len(lefts)
+    forms = sorted(set(lefts))
+    best = dict(zip(forms, similarity_matrix(forms, rights).max(axis=1).tolist()))
+    return sum(best[form] for form in lefts) / len(lefts)
 
 
 def fuzzy_jaccard(
@@ -108,17 +85,15 @@ def fuzzy_jaccard(
     if not lefts or not rights:
         raise EmptyColumnError("fuzzy_jaccard needs non-empty values on both sides")
 
-    left_forms = {v: sorted_token_form(v) for v in lefts}
-    right_forms = {v: sorted_token_form(v) for v in rights}
+    sims = similarity_matrix(
+        [sorted_token_form(v) for v in lefts], [sorted_token_form(v) for v in rights]
+    )
+    rows, cols = (sims >= row_threshold).nonzero()
     scored: list[tuple[float, str, str, str, str]] = []
-    for lv in lefts:
-        lform = left_forms[lv]
-        for rv in rights:
-            rform = right_forms[rv]
-            sim = 1.0 if lform == rform else indel_ratio(lform, rform)
-            if sim >= row_threshold:
-                a, b = (lv, rv) if lv <= rv else (rv, lv)
-                scored.append((-sim, a, b, lv, rv))
+    for i, j, sim in zip(rows.tolist(), cols.tolist(), sims[rows, cols].tolist()):
+        lv, rv = lefts[i], rights[j]
+        a, b = (lv, rv) if lv <= rv else (rv, lv)
+        scored.append((-sim, a, b, lv, rv))
     scored.sort()
 
     used_left: set[str] = set()

@@ -25,7 +25,6 @@ from joinscout.graph import (
     export_dot,
     graph_from_json,
     graph_to_json,
-    retained,
     shortest_path,
 )
 from joinscout.matching import ColumnMatch, MatchConfig
@@ -234,8 +233,7 @@ class TestShortestPath:
     def test_retained_matches_weight(self):
         graph, (a, b, c, d) = _simple_graph()
         path = shortest_path(graph, a, d)
-        assert retained(path) == 2.0 ** -path.total_weight
-        assert path.retained_percentage == retained(path)
+        assert path.retained_percentage == 2.0 ** -path.total_weight
 
 
 def brute_force_paths(graph: JoinGraph, source, target):

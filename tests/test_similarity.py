@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from joinscout import similarity
 from joinscout.similarity import (
     DEFAULT_SYNONYMS,
     SemanticProvider,
@@ -22,6 +23,7 @@ from joinscout.similarity import (
     lcs_length,
     normalize,
     semantic_sim,
+    similarity_matrix,
     sorted_token_form,
     token_overlap,
     token_set,
@@ -129,6 +131,54 @@ class TestIndelRatio:
         r = indel_ratio(a, b)
         assert 0.0 <= r <= 1.0
         assert r == indel_ratio(b, a)
+
+
+def dp_ratio(a: str, b: str) -> float:
+    """Reference indel ratio built on :func:`dp_lcs`."""
+    total = len(a) + len(b)
+    return 1.0 if total == 0 else 2.0 * dp_lcs(a, b) / total
+
+
+def assert_matches_dp(lefts: list[str], rights: list[str]) -> None:
+    got = similarity_matrix(lefts, rights)
+    assert got.shape == (len(lefts), len(rights))
+    for i, a in enumerate(lefts):
+        for j, b in enumerate(rights):
+            assert got[i, j] == dp_ratio(a, b), (a, b)
+
+
+class TestSimilarityMatrix:
+    def test_empty_strings_either_side(self):
+        assert_matches_dp(["", "abc", ""], ["", "abc", "xbz"])
+
+    @pytest.mark.parametrize("length", [63, 64, 65])
+    def test_lane_width_boundary(self, length):
+        # 64 is the widest pattern a lane holds; 65 takes the fallback path.
+        left = ("abcde" * 14)[:length]
+        rights = [left, left[::-1], left[1:], "xyz", "", ("edcba" * 14)[:length]]
+        assert_matches_dp([left, "ab", left[:-1]], rights)
+
+    def test_repeated_characters(self):
+        assert_matches_dp(["aaaa", "abab", "a" * 64], ["a", "aa", "baaab", "a" * 70, "bbbb"])
+
+    def test_more_lanes_than_one_block(self):
+        lefts = [f"{i:03d} smith" for i in range(70)]
+        rights = [f"smith {i:02d}" for i in range(70)]
+        assert len(lefts) * len(rights) > similarity._LANE_BLOCK
+        assert_matches_dp(lefts, rights)
+
+    def test_empty_lists(self):
+        assert similarity_matrix([], ["a", "b"]).shape == (0, 2)
+        assert similarity_matrix(["a", "b", "c" * 80], []).shape == (3, 0)
+        assert similarity_matrix([], []).shape == (0, 0)
+
+    @given(
+        st.lists(st.text(alphabet="abc ", max_size=70), max_size=6),
+        st.lists(st.text(alphabet="abcd ", max_size=70), max_size=6),
+    )
+    @settings(max_examples=150)
+    def test_matches_dp(self, lefts, rights):
+        assert_matches_dp(lefts, rights)
 
 
 class TestTokenSortRatio:
