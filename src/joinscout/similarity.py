@@ -1,9 +1,18 @@
 """String-similarity primitives for column-name and row-value matching.
 
 Everything in this module is deterministic and self-contained: no model
-downloads, no network, no global state beyond a default provider instance.
-All similarity functions return floats in ``[0.0, 1.0]`` and are symmetric
-in their two string arguments.
+downloads and no network.  The only global state is the default provider
+instance and two bounded caches that never change a result: each
+:class:`TrigramProvider` keeps the vectors it has embedded, and
+:func:`token_set` is memoised.  Column matching scores every pair over a
+few dozen distinct names, so each name is embedded and tokenised once.
+
+All similarity functions return floats in ``[0.0, 1.0]``.  All but
+:func:`gestalt_ratio` are symmetric in their two string arguments; the
+gestalt ratio's block matching depends on which string comes first
+(``("a_ac", "_ca")`` gives 0.286, ``("_ca", "a_ac")`` gives 0.571).
+Column matching stays deterministic because ``candidate_pairs`` always
+puts the earlier database on the left.
 
 The semantic fallback is a hashed character-trigram embedding.  Before
 hashing, tokens are passed through a small synonym lexicon so that domain
@@ -14,6 +23,7 @@ embedding model can pass anything satisfying :class:`SemanticProvider`.
 
 from __future__ import annotations
 
+import functools
 import re
 import zlib
 from difflib import SequenceMatcher
@@ -80,7 +90,9 @@ def lcs_length(a: str, b: str) -> int:
 
     Bit-parallel formulation: the shorter string is encoded as per-character
     bitmasks and a running row of the DP table is kept in a single integer,
-    which makes this fast enough to sit inside the row-validation hot loop.
+    which is fast for one pair.  :func:`similarity_matrix` runs the same
+    recurrence over many pairs at once and falls back to this for left
+    strings over 64 characters; tests use it as the reference.
     """
     if not a or not b:
         return 0
@@ -177,6 +189,13 @@ def token_sort_ratio(a: str, b: str) -> float:
     return indel_ratio(sorted_token_form(a), sorted_token_form(b))
 
 
+# Most entries each memo in this module holds: far more distinct column
+# names than a catalog has, and a bound on memory for a long-lived process
+# that scores many catalogs.
+_MEMO_LIMIT = 4096
+
+
+@functools.lru_cache(maxsize=_MEMO_LIMIT)
 def token_set(text: str) -> frozenset[str]:
     """Tokens of ``text``, splitting on non-alphanumerics and camelCase."""
     return frozenset(normalize(_CAMEL_BOUNDARY.sub(" ", text)).split())
@@ -217,6 +236,11 @@ class TrigramProvider:
     Each trigram is hashed (CRC-32) into one of ``dimension`` buckets and
     the count vector is L2-normalized.  Deterministic across processes and
     platforms.
+
+    Each instance remembers the vectors it has returned, so a name is
+    embedded once however many pairs it takes part in.  The vectors are
+    shared between callers and therefore read-only, and ``synonyms`` must
+    not change after the first call.
     """
 
     def __init__(
@@ -228,6 +252,7 @@ class TrigramProvider:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
         self.synonyms = DEFAULT_SYNONYMS if synonyms is None else dict(synonyms)
+        self._vectors: dict[str, np.ndarray] = {}
 
     def canonical_text(self, text: str) -> str:
         """Normalized text with each token replaced by its canonical form."""
@@ -235,6 +260,16 @@ class TrigramProvider:
         return " ".join(self.synonyms.get(tok, tok) for tok in tokens)
 
     def embed(self, text: str) -> np.ndarray:
+        vec = self._vectors.get(text)
+        if vec is None:
+            if len(self._vectors) >= _MEMO_LIMIT:
+                self._vectors.clear()
+            vec = self._embed_uncached(text)
+            vec.setflags(write=False)
+            self._vectors[text] = vec
+        return vec
+
+    def _embed_uncached(self, text: str) -> np.ndarray:
         canon = self.canonical_text(text)
         vec = np.zeros(self.dimension, dtype=np.float64)
         if len(canon) < 3:
@@ -256,7 +291,7 @@ _DEFAULT_PROVIDER = TrigramProvider()
 
 
 def trigram_embed(text: str) -> np.ndarray:
-    """Embed ``text`` with the default :class:`TrigramProvider`."""
+    """Embed ``text`` with the default :class:`TrigramProvider` (read-only)."""
     return _DEFAULT_PROVIDER.embed(text)
 
 

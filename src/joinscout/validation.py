@@ -133,10 +133,10 @@ def validate(
     """
     cfg = config or MatchConfig()
     left_sample = sample_distinct(
-        catalog.column(match.left).values, cfg.sample_cap, f"{cfg.seed}:{match.left}"
+        catalog.column(match.left).distinct_values, cfg.sample_cap, f"{cfg.seed}:{match.left}"
     )
     right_sample = sample_distinct(
-        catalog.column(match.right).values, cfg.sample_cap, f"{cfg.seed}:{match.right}"
+        catalog.column(match.right).distinct_values, cfg.sample_cap, f"{cfg.seed}:{match.right}"
     )
     if not left_sample or not right_sample:
         log.debug("rejected %s ~ %s: empty side", match.left, match.right)

@@ -16,7 +16,14 @@ from joinscout.matching import (
     load_config,
     score_pair,
 )
-from joinscout.similarity import gestalt_ratio, semantic_sim, token_overlap
+from joinscout.fuzzgen import generate_catalog
+from joinscout.similarity import (
+    TrigramProvider,
+    gestalt_ratio,
+    semantic_sim,
+    token_overlap,
+    token_set,
+)
 
 
 class TestMatchConfig:
@@ -143,6 +150,19 @@ class TestScorePair:
 
         m = score_pair(self.LEFT, self.RIGHT, provider=Anti())
         assert m.semantic_sim == 0.0
+
+    def test_memoised_scores_equal_uncached_primitives(self, tmp_path):
+        # Each name is embedded and tokenised once per run; every score must
+        # still equal, bit for bit, one computed from scratch.
+        catalog = generate_catalog(tmp_path, seed=0, scale=1)
+        for left, right in candidate_pairs(catalog):
+            a, b = left.column, right.column
+            name = gestalt_ratio(a, b)
+            sem = semantic_sim(a, b, TrigramProvider())
+            ta, tb = token_set.__wrapped__(a), token_set.__wrapped__(b)
+            tok = len(ta & tb) / min(len(ta), len(tb)) if ta and tb else 0.0
+            total = 0.4 * name + 0.3 * sem + 0.3 * tok
+            assert score_pair(left, right) == ColumnMatch(left, right, name, sem, tok, total)
 
 
 def _match(total: float, tag: str = "x") -> ColumnMatch:

@@ -88,6 +88,12 @@ class TestGestaltRatio:
     def test_range(self, a, b):
         assert 0.0 <= gestalt_ratio(a, b) <= 1.0
 
+    def test_asymmetric(self):
+        # Block matching depends on argument order: one common character
+        # one way round, two the other.
+        assert gestalt_ratio("a_ac", "_ca") == 2 / 7
+        assert gestalt_ratio("_ca", "a_ac") == 4 / 7
+
 
 class TestLcsLength:
     @pytest.mark.parametrize(
@@ -259,6 +265,20 @@ class TestTrigramProvider:
         # With canonicalization the pair embeds identically; without, it must not.
         assert semantic_sim("hospital_name", "clinic_name") == pytest.approx(1.0)
         assert semantic_sim("hospital_name", "clinic_name", plain) < 0.9
+
+    def test_cached_vector_equals_fresh_and_is_read_only(self):
+        cached = trigram_embed("hospital_name")
+        assert trigram_embed("hospital_name") is cached
+        assert np.array_equal(cached, TrigramProvider().embed("hospital_name"))
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+
+    def test_cache_stays_within_its_bound(self):
+        prov = TrigramProvider()
+        for i in range(similarity._MEMO_LIMIT + 10):
+            prov.embed(f"column_{i}")
+        assert len(prov._vectors) <= similarity._MEMO_LIMIT
+        assert np.array_equal(prov.embed("column_0"), TrigramProvider().embed("column_0"))
 
     def test_default_lexicon_is_small_and_lowercase(self):
         for k, v in DEFAULT_SYNONYMS.items():
