@@ -54,6 +54,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="joinscout", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -68,7 +78,7 @@ def build_parser() -> _Parser:
     p_disc.add_argument("manifest", help="catalog manifest.json")
     p_disc.add_argument("--config", help="scoring configuration JSON")
     p_disc.add_argument("--graph-out", default="join_graph.json", help="where to write the graph")
-    p_disc.add_argument("--jobs", type=int, default=1, help="validation worker processes")
+    p_disc.add_argument("--jobs", type=_positive_int, default=1, help="validation worker processes")
 
     p_path = sub.add_parser("path", help="cheapest join path between two tables")
     p_path.add_argument("graph", help="join graph JSON from 'discover'")

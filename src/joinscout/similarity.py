@@ -2,10 +2,13 @@
 
 Everything in this module is deterministic and self-contained: no model
 downloads and no network.  The only global state is the default provider
-instance and two bounded caches that never change a result: each
-:class:`TrigramProvider` keeps the vectors it has embedded, and
-:func:`token_set` is memoised.  Column matching scores every pair over a
-few dozen distinct names, so each name is embedded and tokenised once.
+instance and three bounded memos that never change a result: each
+:class:`TrigramProvider` keeps the vectors it has embedded together with
+their norms, :func:`token_set` keeps token sets, and :func:`gestalt_ratio`
+keeps the character positions of each right-hand string.  Column matching
+scores every pair over a few dozen distinct names, so each name is
+embedded, tokenised and indexed once.  :func:`gestalt_ratio` runs its own
+Ratcliff/Obershelp block matching; difflib is no longer used.
 
 All similarity functions return floats in ``[0.0, 1.0]``.  All but
 :func:`gestalt_ratio` are symmetric in their two string arguments; the
@@ -26,7 +29,6 @@ from __future__ import annotations
 import functools
 import re
 import zlib
-from difflib import SequenceMatcher
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -77,12 +79,44 @@ def gestalt_ratio(a: str, b: str) -> float:
 
     This is ``2 * M / (len(a) + len(b))`` where M counts characters in
     recursively matched longest common blocks.  Two empty strings score 1.0.
+    It equals ``difflib.SequenceMatcher(None, a.lower(), b.lower(),
+    autojunk=False).ratio()`` bit for bit, ties included: of the longest
+    blocks, the one starting earliest in ``a``, then earliest in ``b``.
+    Without junk, difflib's block extension never fires, and its sort and
+    merging of adjacent blocks do not change the sum, so all three are left
+    out.
     """
     a = a.lower()
     b = b.lower()
-    if not a and not b:
+    total = len(a) + len(b)
+    if not total:
         return 1.0
-    return SequenceMatcher(None, a, b, autojunk=False).ratio()
+    b2j = _positions(b)
+    matched = 0
+    queue = [(0, len(a), 0, len(b))]
+    while queue:
+        alo, ahi, blo, bhi = queue.pop()
+        besti = bestj = bestsize = 0
+        # j2len[j]: length of the longest match ending at a[i - 1], b[j].
+        j2len: dict[int, int] = {}
+        for i in range(alo, ahi):
+            get = j2len.get
+            j2len = {}
+            for j in b2j.get(a[i], ()):
+                if j < blo:
+                    continue
+                if j >= bhi:
+                    break
+                k = j2len[j] = get(j - 1, 0) + 1
+                if k > bestsize:
+                    besti, bestj, bestsize = i - k + 1, j - k + 1, k
+        if bestsize:
+            matched += bestsize
+            if alo < besti and blo < bestj:
+                queue.append((alo, besti, blo, bestj))
+            if besti + bestsize < ahi and bestj + bestsize < bhi:
+                queue.append((besti + bestsize, ahi, bestj + bestsize, bhi))
+    return 2.0 * matched / total
 
 
 def lcs_length(a: str, b: str) -> int:
@@ -201,6 +235,15 @@ def token_set(text: str) -> frozenset[str]:
     return frozenset(normalize(_CAMEL_BOUNDARY.sub(" ", text)).split())
 
 
+@functools.lru_cache(maxsize=_MEMO_LIMIT)
+def _positions(text: str) -> dict[str, list[int]]:
+    """Ascending positions of each character of ``text`` (shared, read-only)."""
+    b2j: dict[str, list[int]] = {}
+    for j, ch in enumerate(text):
+        b2j.setdefault(ch, []).append(j)
+    return b2j
+
+
 def token_overlap(a: str, b: str) -> float:
     """Overlap coefficient of the token sets: ``|A & B| / min(|A|, |B|)``.
 
@@ -237,10 +280,10 @@ class TrigramProvider:
     the count vector is L2-normalized.  Deterministic across processes and
     platforms.
 
-    Each instance remembers the vectors it has returned, so a name is
-    embedded once however many pairs it takes part in.  The vectors are
-    shared between callers and therefore read-only, and ``synonyms`` must
-    not change after the first call.
+    Each instance remembers the vectors it has returned, each with its
+    L2 norm, so a name is embedded once however many pairs it takes part
+    in.  The vectors are shared between callers and therefore read-only,
+    and ``synonyms`` must not change after the first call.
     """
 
     def __init__(
@@ -252,7 +295,7 @@ class TrigramProvider:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
         self.synonyms = DEFAULT_SYNONYMS if synonyms is None else dict(synonyms)
-        self._vectors: dict[str, np.ndarray] = {}
+        self._vectors: dict[str, tuple[np.ndarray, float]] = {}
 
     def canonical_text(self, text: str) -> str:
         """Normalized text with each token replaced by its canonical form."""
@@ -260,14 +303,17 @@ class TrigramProvider:
         return " ".join(self.synonyms.get(tok, tok) for tok in tokens)
 
     def embed(self, text: str) -> np.ndarray:
-        vec = self._vectors.get(text)
-        if vec is None:
+        return self._embed_with_norm(text)[0]
+
+    def _embed_with_norm(self, text: str) -> tuple[np.ndarray, float]:
+        entry = self._vectors.get(text)
+        if entry is None:
             if len(self._vectors) >= _MEMO_LIMIT:
                 self._vectors.clear()
             vec = self._embed_uncached(text)
             vec.setflags(write=False)
-            self._vectors[text] = vec
-        return vec
+            entry = self._vectors[text] = (vec, float(np.linalg.norm(vec)))
+        return entry
 
     def _embed_uncached(self, text: str) -> np.ndarray:
         canon = self.canonical_text(text)
@@ -298,13 +344,19 @@ def trigram_embed(text: str) -> np.ndarray:
 def semantic_sim(a: str, b: str, provider: SemanticProvider | None = None) -> float:
     """Cosine similarity of provider embeddings, clamped to ``[0, 1]``.
 
-    If either embedding is the zero vector the score is 0.0.
+    If either embedding is the zero vector the score is 0.0.  A plain
+    :class:`TrigramProvider` supplies the norms it stored with its vectors;
+    any other provider, a subclass included, has them computed here.
     """
     prov = _DEFAULT_PROVIDER if provider is None else provider
-    va = prov.embed(a)
-    vb = prov.embed(b)
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
+    if type(prov) is TrigramProvider:
+        va, na = prov._embed_with_norm(a)
+        vb, nb = prov._embed_with_norm(b)
+    else:
+        va = prov.embed(a)
+        vb = prov.embed(b)
+        na = float(np.linalg.norm(va))
+        nb = float(np.linalg.norm(vb))
     if na == 0.0 or nb == 0.0:
         return 0.0
     cos = float(np.dot(va, vb) / (na * nb))

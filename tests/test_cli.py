@@ -229,6 +229,8 @@ class TestUsageErrors:
             ["discover"],                       # manifest is required
             ["path", "g.json", "OnlyOne"],
             ["discover", "m.json", "--jobs", "many"],
+            ["discover", "m.json", "--jobs", "0"],
+            ["discover", "m.json", "--jobs", "-2"],
         ],
     )
     def test_exit_one(self, argv, capsys):

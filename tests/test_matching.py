@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+from difflib import SequenceMatcher
 
+import numpy as np
 import pytest
 
 from joinscout.catalog import ColumnRef
@@ -140,8 +142,6 @@ class TestScorePair:
         assert m.total_score == pytest.approx(1.0, abs=1e-12)
 
     def test_custom_provider(self):
-        import numpy as np
-
         class Anti:
             dimension = 2
 
@@ -151,14 +151,32 @@ class TestScorePair:
         m = score_pair(self.LEFT, self.RIGHT, provider=Anti())
         assert m.semantic_sim == 0.0
 
+    def test_overriding_subclass_scores_with_computed_norms(self):
+        # Stored norms belong to the vectors TrigramProvider made; a subclass
+        # that embeds differently must have the norms of its own vectors.
+        class Flat(TrigramProvider):
+            def embed(self, text):
+                return np.full(self.dimension, 0.01)
+
+        m = score_pair(ColumnRef("a", "T", "drug_name"), ColumnRef("b", "S", "patient_id"),
+                       provider=Flat())
+        assert m.semantic_sim == pytest.approx(1.0, abs=1e-12)
+
     def test_memoised_scores_equal_uncached_primitives(self, tmp_path):
-        # Each name is embedded and tokenised once per run; every score must
-        # still equal, bit for bit, one computed from scratch.
+        # Each name is embedded and tokenised once per run and its norm is
+        # stored; every score must still equal, bit for bit, one computed
+        # from scratch: difflib for the name, and norms taken at call time.
+        class Fresh:
+            dimension = 256
+
+            def embed(self, text):
+                return TrigramProvider()._embed_uncached(text)
+
         catalog = generate_catalog(tmp_path, seed=0, scale=1)
         for left, right in candidate_pairs(catalog):
             a, b = left.column, right.column
-            name = gestalt_ratio(a, b)
-            sem = semantic_sim(a, b, TrigramProvider())
+            name = SequenceMatcher(None, a.lower(), b.lower(), autojunk=False).ratio()
+            sem = semantic_sim(a, b, Fresh())
             ta, tb = token_set.__wrapped__(a), token_set.__wrapped__(b)
             tok = len(ta & tb) / min(len(ta), len(tb)) if ta and tb else 0.0
             total = 0.4 * name + 0.3 * sem + 0.3 * tok

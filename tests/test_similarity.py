@@ -1,12 +1,14 @@
 """Tests for the string-similarity primitives.
 
 The LCS oracle here is the classic two-row dynamic program, written
-independently of the bit-parallel implementation under test.
+independently of the bit-parallel implementation under test.  The gestalt
+oracle is difflib's ``SequenceMatcher`` with autojunk off.
 """
 
 from __future__ import annotations
 
 import math
+from difflib import SequenceMatcher
 
 import numpy as np
 import pytest
@@ -46,6 +48,11 @@ def dp_lcs(a: str, b: str) -> int:
                 cur.append(max(prev[j], cur[-1]))
         prev = cur
     return prev[-1]
+
+
+def difflib_ratio(a: str, b: str) -> float:
+    """Reference gestalt ratio: difflib on case-folded input, no autojunk."""
+    return SequenceMatcher(None, a.lower(), b.lower(), autojunk=False).ratio()
 
 
 class TestNormalize:
@@ -93,6 +100,26 @@ class TestGestaltRatio:
         # one way round, two the other.
         assert gestalt_ratio("a_ac", "_ca") == 2 / 7
         assert gestalt_ratio("_ca", "a_ac") == 4 / 7
+
+    # A small mixed-case alphabet makes ties and repeated characters common.
+    @given(st.text(alphabet="aAbB_c", max_size=16), st.text(alphabet="aAbB_c", max_size=16))
+    @settings(max_examples=500)
+    def test_matches_difflib(self, a, b):
+        assert gestalt_ratio(a, b) == difflib_ratio(a, b)
+
+    def test_matches_difflib_past_autojunk_length(self):
+        # At 200 characters difflib's autojunk would drop popular characters.
+        a = "patient_id_" * 20 + "x"
+        b = "citizen_id__" * 19 + "patient"
+        assert len(b) >= 200
+        assert gestalt_ratio(a, b) == difflib_ratio(a, b)
+        assert gestalt_ratio(a, b) != SequenceMatcher(None, a, b).ratio()
+
+    def test_matches_difflib_when_lowercase_is_longer(self):
+        # "İ".lower() is two characters, so lengths come from folded text.
+        assert len("İ".lower()) == 2
+        assert gestalt_ratio("İstanbul_id", "istanbul_ID") == difflib_ratio("İstanbul_id", "istanbul_ID")
+        assert gestalt_ratio("İ", "i") == 2 / 3
 
 
 class TestLcsLength:
