@@ -37,7 +37,6 @@ from .errors import (
     JoinScoutError,
     ManifestParseError,
     MissingFileError,
-    ProviderError,
     SchemaMismatchError,
     SingleTokenError,
     UnknownTableError,
@@ -117,7 +116,6 @@ __all__ = [
     "ManifestParseError",
     "MatchConfig",
     "MissingFileError",
-    "ProviderError",
     "ResultTable",
     "SchemaMismatchError",
     "SemanticProvider",

@@ -29,10 +29,6 @@ class EmptyColumnError(JoinScoutError):
     """A value-level comparison received a column with no usable values."""
 
 
-class ProviderError(JoinScoutError):
-    """A semantic provider failed to produce an embedding."""
-
-
 class ConfigError(JoinScoutError):
     """A scoring-configuration file is malformed or out of range."""
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import IO
 
@@ -71,11 +72,11 @@ def execute_path(
     start_ref = path.tables[0]
     start = catalog.table(start_ref)
     columns: list[tuple[TableRef, str]] = [(start_ref, n) for n in start.column_names]
-    acc_rows: list[tuple[str, ...]] = [tuple(r) for r in start.rows()]
+    acc_rows: list[tuple[str, ...]] = list(start.rows())
     # Raw row of the most recently joined table, aligned with acc_rows.
     # Join columns are read from here, so it does not matter whether the
     # visible output dropped them.
-    last_rows: list[tuple[str, ...]] = list(acc_rows)
+    last_rows = acc_rows
     score_columns: list[str] = []
 
     for hop, edge in enumerate(path.edges, start=1):
@@ -84,40 +85,31 @@ def execute_path(
         pairs = edge.columns_from(left_ref)
         left_table = catalog.table(left_ref)
         right_table = catalog.table(right_ref)
-        left_pos = [left_table.column_names.index(l) for l, _ in pairs]
+        left_key = itemgetter(*(left_table.column_names.index(l) for l, _ in pairs))
         right_pos = [right_table.column_names.index(r) for _, r in pairs]
-        right_rows = [tuple(r) for r in right_table.rows()]
-        new_acc: list[tuple[str, ...]] = []
-        new_last: list[tuple[str, ...]] = []
+        right_key = itemgetter(*right_pos)
+        # Each right row that can match, with the cells it appends to an
+        # output row, projected once however many rows it joins.
+        matches: dict[str | tuple[str, ...], list[tuple[tuple[str, ...], tuple[str, ...]]]] = {}
 
         if edge.kind is EdgeKind.FK:
-            key_index: dict[tuple[str, ...], list[int]] = {}
-            for ridx, rrow in enumerate(right_rows):
-                key = tuple(rrow[p] for p in right_pos)
-                if all(key):
-                    key_index.setdefault(key, []).append(ridx)
             dropped = set(right_pos)
             keep = [i for i in range(len(right_table.column_names)) if i not in dropped]
-            for arow, lrow in zip(acc_rows, last_rows):
-                key = tuple(lrow[p] for p in left_pos)
-                if not all(key):
-                    continue
-                for ridx in key_index.get(key, ()):
-                    rrow = right_rows[ridx]
-                    new_acc.append(arow + tuple(rrow[i] for i in keep))
-                    new_last.append(rrow)
+            composite = len(right_pos) > 1
+            for rrow in right_table.rows():
+                key = right_key(rrow)
+                # No indexed key has a blank part, so neither can a match.
+                if all(key) if composite else key:
+                    matches.setdefault(key, []).append((tuple(rrow[i] for i in keep), rrow))
             columns.extend((right_ref, right_table.column_names[i]) for i in keep)
         else:
-            rpos = right_pos[0]
-            lpos = left_pos[0]
-            first_row_of: dict[str, int] = {}
-            for ridx, rrow in enumerate(right_rows):
-                value = rrow[rpos]
+            first_row_of: dict[str, tuple[str, ...]] = {}
+            for rrow in right_table.rows():
+                value = right_key(rrow)
                 if value and value not in first_row_of:
-                    first_row_of[value] = ridx
+                    first_row_of[value] = rrow
             right_values = sorted(first_row_of)
-            left_values = list(dict.fromkeys(r[lpos] for r in last_rows if r[lpos]))
-            hits: dict[str, tuple[tuple[str, ...], str]] = {}
+            left_values = [v for v in dict.fromkeys(map(left_key, last_rows)) if v]
             if right_values:
                 sims = similarity_matrix(
                     [sorted_token_form(v) for v in left_values],
@@ -127,20 +119,19 @@ def execute_path(
                 best = zip(sims.argmax(axis=1).tolist(), sims.max(axis=1).tolist())
                 for lval, (ridx, score) in zip(left_values, best):
                     if score >= cfg.row_threshold:
-                        rrow = right_rows[first_row_of[right_values[ridx]]]
-                        hits[lval] = (rrow, f"{score:.3f}")
-            for arow, lrow in zip(acc_rows, last_rows):
-                hit = hits.get(lrow[lpos])
-                if hit is None:
-                    continue
-                rrow, score_text = hit
-                new_acc.append(arow + rrow + (score_text,))
-                new_last.append(rrow)
+                        rrow = first_row_of[right_values[ridx]]
+                        matches[lval] = [(rrow + (f"{score:.3f}",), rrow)]
             score_name = f"_fuzzy_score_{hop}"
             columns.extend((right_ref, n) for n in right_table.column_names)
             columns.append((right_ref, score_name))
             score_columns.append(score_name)
 
+        new_acc: list[tuple[str, ...]] = []
+        new_last: list[tuple[str, ...]] = []
+        for arow, key in zip(acc_rows, map(left_key, last_rows)):
+            for tail, rrow in matches.get(key, ()):
+                new_acc.append(arow + tail)
+                new_last.append(rrow)
         acc_rows = new_acc
         last_rows = new_last
 

@@ -155,8 +155,10 @@ def indel_ratio(a: str, b: str) -> float:
     return 2.0 * lcs_length(a, b) / total
 
 
-# Pairs advanced together by ``similarity_matrix``; this many uint64 words
-# bounds each of its temporaries, whatever the size of the output.
+# Packed uint64 words (one or more left patterns each) advanced together by
+# ``similarity_matrix``; this many bounds each temporary of the recurrence,
+# whatever the size of the output.  The ratios read out of a block take one
+# float per pattern in it.
 _LANE_BLOCK = 4096
 _LANE_BITS = 64
 
@@ -164,12 +166,24 @@ _LANE_BITS = 64
 def similarity_matrix(left_forms: Sequence[str], right_forms: Sequence[str]) -> np.ndarray:
     """``indel_ratio`` of every left × right pair, as an ``(L, R)`` array.
 
-    One uint64 lane per pair runs the bit-parallel LCS recurrence of
-    :func:`lcs_length` with the left string as the bit pattern (Hyyrö,
-    "Bit-parallel LCS-length computation revisited", 2004).  Right strings
-    are padded with character index 0, whose mask is empty, so padding
-    leaves a lane unchanged.  Left strings longer than 64 characters take
-    their row from :func:`indel_ratio` instead.
+    It runs the bit-parallel LCS recurrence of :func:`lcs_length` with the
+    left strings as bit patterns (Hyyrö, "Bit-parallel LCS-length
+    computation revisited", 2004), several patterns to a uint64 word
+    (Hyyrö, Fredriksson & Navarro, "Increased bit-parallelism for
+    approximate and multiple string matching", ACM JEA 2005).  A word holds
+    ``per_word`` fields of ``64 // per_word`` bits, as many as fit the
+    longest left string plus one bit.  Each pattern sits in the low bits of
+    its field.  The top bit of each field is a guard: it is 0 before every
+    addition, takes any carry out of the field, and is cleared after each
+    step, so no carry reaches the next pattern.  With one pattern to a word
+    (a left string of 32 or more characters) there is no guard: a carry
+    runs into bits above the pattern, which stay set, or off the word.
+
+    Each step advances a word by one character of one right string.  Right
+    strings run longest first, so the words still running at step ``t``
+    are a prefix of the block, and no step is spent on padding.  Characters
+    no left string has get index 0, whose mask is empty.  Left strings over
+    64 characters take their row from :func:`indel_ratio` instead.
     """
     out = np.empty((len(left_forms), len(right_forms)))
     short = []
@@ -181,33 +195,95 @@ def similarity_matrix(left_forms: Sequence[str], right_forms: Sequence[str]) -> 
     if not short or not right_forms:
         return out
 
-    # Character index 0 is padding, and also every character no left has.
-    alphabet = {ch: k for k, ch in enumerate(sorted({ch for i in short for ch in left_forms[i]}), 1)}
-    masks = [[0] * (len(alphabet) + 1) for _ in short]
-    for row, i in zip(masks, short):
-        for bit, ch in enumerate(left_forms[i]):
-            row[alphabet[ch]] |= 1 << bit
-    flat_masks = np.array(masks, dtype=np.uint64).ravel()
-    left_len = np.array([len(left_forms[i]) for i in short])
-    right_len = np.array([len(s) for s in right_forms])
-    codes = np.zeros((right_len.max(), len(right_forms)), dtype=np.intp)
-    for j, s in enumerate(right_forms):
-        codes[: len(s), j] = [alphabet.get(ch, 0) for ch in s]
+    lefts = [left_forms[i] for i in short]
+    left_len = np.array([len(s) for s in lefts])
+    per_word = max(1, _LANE_BITS // (max(map(len, lefts)) + 1))
+    width = _LANE_BITS // per_word
+    guard = 0 if per_word == 1 else 1 << (width - 1)
+    field = np.uint64((1 << width) - 1 - guard)
+    live = np.uint64(sum(int(field) << (f * width) for f in range(per_word)))
 
+    # Code k >= 1 is the character alphabet[k - 1]; code 0 is every
+    # character no left string has.  The last entry, past every code point,
+    # is no character.
+    alphabet = np.array(sorted(map(ord, set("".join(lefts)))) + [0x110000], dtype=np.uint32)
+    words = -(-len(lefts) // per_word)
+    mask_table = np.zeros((len(alphabet), words), dtype=np.uint64)
+    which, pos = _spread(left_len)
+    word, slot = np.divmod(which, per_word)
+    bits = np.left_shift(np.uint64(1), (slot * width + pos).astype(np.uint64))
+    left_codes = np.searchsorted(alphabet, _code_points(lefts)) + 1
+    np.bitwise_or.at(mask_table, (left_codes, word), bits)
+
+    # Right strings longest first; codes[t, j] is the code of character t.
+    order = np.argsort([-len(s) for s in right_forms], kind="stable")
+    right_len = np.array([len(right_forms[j]) for j in order])
+    points = _code_points([right_forms[j] for j in order])
+    found = np.searchsorted(alphabet, points)
+    col, pos = _spread(right_len)
+    codes = np.zeros((right_len[0], len(order)), dtype=np.intp)
+    codes[pos, col] = np.where(alphabet[found] == points, found + 1, 0)
     rows = np.array(short)
-    lanes = len(short) * len(right_forms)
-    for start in range(0, lanes, _LANE_BLOCK):
-        li, rj = np.divmod(np.arange(start, min(start + _LANE_BLOCK, lanes)), len(right_forms))
-        mask_base = li * (len(alphabet) + 1)
-        v = np.full(len(li), np.iinfo(np.uint64).max, dtype=np.uint64)
-        for step_codes in codes:
-            u = v & flat_masks[mask_base + step_codes[rj]]
-            v = (v + u) | (v - u)
-        # Bits above the pattern stay set, so the clear bits count the LCS.
-        total = left_len[li] + right_len[rj]
-        ratio = 2.0 * np.bitwise_count(~v) / np.maximum(total, 1)
-        out[rows[li], rj] = np.where(total == 0, 1.0, ratio)
+
+    word_block = min(words, _LANE_BLOCK)
+    right_block = max(1, _LANE_BLOCK // word_block)
+    for w0 in range(0, words, word_block):
+        w1 = min(w0 + word_block, words)
+        masks = np.ascontiguousarray(mask_table[:, w0:w1])
+        block_lefts = slice(w0 * per_word, min(w1 * per_word, len(lefts)))
+        block_rows = rows[block_lefts]
+        v = np.empty((right_block, w1 - w0), dtype=np.uint64)
+        u = np.empty_like(v)
+        w = np.empty_like(v)
+        lcs = np.empty((right_block, w1 - w0, per_word), dtype=np.uint8)
+        for r0 in range(0, len(order), right_block):
+            r1 = min(r0 + right_block, len(order))
+            lens = right_len[r0:r1]
+            # running[t]: how many of these right strings have a character t.
+            running = np.searchsorted(-lens, -np.arange(lens[0]), side="left")
+            vk, uk, wk = v[: r1 - r0], u[: r1 - r0], w[: r1 - r0]
+            vk.fill(live)
+            for t, k in enumerate(running.tolist()):
+                if k < len(vk):
+                    vk, uk, wk = vk[:k], uk[:k], wk[:k]
+                # Every code is in range; "clip" lets take write into uk unbuffered.
+                masks.take(codes[t, r0 : r0 + k], axis=0, out=uk, mode="clip")
+                uk &= vk
+                np.subtract(vk, uk, out=wk)
+                vk += uk
+                vk |= wk
+                if guard:
+                    vk &= live
+            # Inverted, the bits of each field below its guard count its LCS.
+            vb, ub = v[: r1 - r0], u[: r1 - r0]
+            np.invert(vb, out=vb)
+            for f in range(per_word):
+                np.right_shift(vb, np.uint64(f * width), out=ub)
+                ub &= field
+                np.bitwise_count(ub, out=lcs[: r1 - r0, :, f])
+            # Field f of word j holds left string (w0 + j) * per_word + f.
+            counts = lcs[: r1 - r0].reshape(r1 - r0, -1)[:, : len(block_rows)].T
+            total = left_len[block_lefts, None] + lens
+            empty = total == 0
+            ratio = np.multiply(counts, 2.0)
+            ratio /= np.maximum(total, 1, out=total)
+            ratio[empty] = 1.0
+            out[np.ix_(block_rows, order[r0:r1])] = ratio
     return out
+
+
+def _code_points(strings: Sequence[str]) -> np.ndarray:
+    """The code points of ``strings``, concatenated, as uint32."""
+    text = "".join(strings).encode("utf-32-le", "surrogatepass")
+    return np.frombuffer(text, dtype=np.uint32)
+
+
+def _spread(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each character of strings of ``lengths``, concatenated: its
+    string's index and its position in that string."""
+    which = np.repeat(np.arange(len(lengths)), lengths)
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return which, np.arange(len(which)) - starts
 
 
 def sorted_token_form(text: str) -> str:

@@ -1,17 +1,25 @@
-"""Join execution: FK hops, fuzzy hops, multi-hop paths, CSV output."""
+"""Join execution: FK hops, fuzzy hops, multi-hop paths, CSV output.
+
+``reference_join`` is a brute-force oracle written without the similarity
+kernel: nested loops over rows and one ``token_sort_ratio`` per pair.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 
 import pytest
 
 from joinscout.catalog import Catalog, Database, ForeignKey, TableRef
 from joinscout.errors import UnknownTableError
 from joinscout.executor import ResultTable, execute_path, write_csv
-from joinscout.graph import EdgeKind, JoinEdge, JoinPath, edge_weight
-from joinscout.matching import MatchConfig
+from joinscout.fuzzgen import generate_catalog
+from joinscout.graph import EdgeKind, JoinEdge, JoinPath, build_graph, edge_weight, shortest_path
+from joinscout.matching import MatchConfig, candidate_pairs, filter_candidates, score_pair
+from joinscout.similarity import token_sort_ratio
+from joinscout.validation import validate_many
 
 from conftest import make_table
 
@@ -305,3 +313,82 @@ class TestWriteCsv:
         write_csv(table, out)
         with out.open(newline="", encoding="utf-8") as fh:
             assert list(csv.reader(fh))[1] == ['say "hi"', "one,two"]
+
+
+def reference_join(path: JoinPath, catalog: Catalog, threshold: float) -> ResultTable:
+    """Brute-force ``execute_path``: a nested-loop equi-join for each FK hop,
+    and ``token_sort_ratio`` of every left row against every right row for
+    each fuzzy hop, the best score winning and ties going to the smallest
+    right value, then to its first row."""
+    start = catalog.table(path.tables[0])
+    columns = [(path.tables[0], n) for n in start.column_names]
+    # Each output row, with the raw row of the table joined last.
+    rows = [(tuple(r), tuple(r)) for r in start.rows()]
+    score_columns = []
+    for hop, e in enumerate(path.edges, start=1):
+        left, right = catalog.table(path.tables[hop - 1]), catalog.table(path.tables[hop])
+        pairs = e.columns_from(path.tables[hop - 1])
+        lpos = [left.column_names.index(l) for l, _ in pairs]
+        rpos = [right.column_names.index(r) for _, r in pairs]
+        right_rows = [tuple(r) for r in right.rows()]
+        joined = []
+        if e.kind is EdgeKind.FK:
+            keep = [i for i in range(len(right.column_names)) if i not in rpos]
+            for out, last in rows:
+                lkey = [last[p] for p in lpos]
+                for rrow in right_rows:
+                    if all(lkey) and lkey == [rrow[p] for p in rpos]:
+                        joined.append((out + tuple(rrow[i] for i in keep), rrow))
+            columns += [(path.tables[hop], right.column_names[i]) for i in keep]
+        else:
+            (lp,), (rp,) = lpos, rpos
+            for out, last in rows:
+                best = None
+                for rrow in right_rows:
+                    if last[lp] and rrow[rp]:
+                        key = (-token_sort_ratio(last[lp], rrow[rp]), rrow[rp])
+                        if best is None or key < best[0]:
+                            best = (key, rrow)
+                if best is not None and -best[0][0] >= threshold:
+                    joined.append((out + best[1] + (f"{-best[0][0]:.3f}",), best[1]))
+            score_columns.append(f"_fuzzy_score_{hop}")
+            columns += [(path.tables[hop], n) for n in right.column_names]
+            columns.append((path.tables[hop], score_columns[-1]))
+        rows = joined
+    return ResultTable(columns, [out for out, _ in rows], score_columns)
+
+
+class TestBruteForceOracle:
+    def test_every_reachable_pair_of_a_generated_catalog(self, tmp_path):
+        catalog = generate_catalog(tmp_path, seed=0, scale=1)
+        cfg = MatchConfig()
+        scored = (score_pair(l, r, cfg) for l, r in candidate_pairs(catalog))
+        validated = validate_many(filter_candidates(scored, cfg), catalog, cfg)
+        graph = build_graph(catalog, validated, cfg)
+        refs = sorted({e.left for e in graph.edges} | {e.right for e in graph.edges}, key=str)
+        kinds = set()
+        for source, target in itertools.permutations(refs, 2):
+            path = shortest_path(graph, source, target)
+            if path is None:
+                continue
+            kinds.update(e.kind for e in path.edges)
+            got = execute_path(path, catalog, cfg)
+            want = reference_join(path, catalog, cfg.row_threshold)
+            assert got.columns == want.columns
+            assert got.rows == want.rows, (source, target)
+            assert got.fuzzy_score_columns == want.fuzzy_score_columns
+        assert kinds == {EdgeKind.FK, EdgeKind.FUZZY}
+
+    def test_composite_key_with_a_blank_part_on_the_right(self):
+        # The right table holds the same blank-part keys as the left; only
+        # the complete key may match.
+        left = make_table("L", {"k1": ["a", "a", ""], "k2": ["", "1", "2"], "v": ["p", "q", "r"]})
+        right = make_table(
+            "R", {"k1": ["a", "", "a"], "k2": ["", "2", "1"], "w": ["blank k2", "blank k1", "ok"]}
+        )
+        cat = Catalog(databases=(Database("d", (left, right)),))
+        lr, rr = TableRef("d", "L"), TableRef("d", "R")
+        path = make_path([lr, rr], [edge(lr, rr, EdgeKind.FK, [("k1", "k1"), ("k2", "k2")])])
+        result = execute_path(path, cat)
+        assert result.rows == [("a", "1", "q", "ok")]
+        assert result == reference_join(path, cat, MatchConfig().row_threshold)

@@ -213,6 +213,43 @@ class TestSimilarityMatrix:
     def test_matches_dp(self, lefts, rights):
         assert_matches_dp(lefts, rights)
 
+    @pytest.mark.parametrize("longest", range(22))
+    def test_every_field_width(self, longest):
+        # Left strings of every length up to ``longest`` share one call, so
+        # the packing puts patterns of several lengths side by side in each
+        # word.  Longest lengths 0-9, 11 and 15 fill a field up to its guard.
+        lefts = [("abcab cabba" * 2)[:n] for n in range(longest + 1)]
+        lefts += [("ba cab" * 4)[:n] for n in range(longest, -1, -1)]
+        rights = ["", "a", "abc", "cab abba", "abcab cabba abcab", "ba cab" * 4, "c" * 25]
+        assert_matches_dp(lefts, rights)
+
+    def test_carries_cross_every_field(self):
+        # "a" * k against "a" * 70 carries out of the top of its pattern on
+        # every step past the k-th; the guard must stop it at the field.
+        lefts = ["a" * k for k in range(22)] + ["ab" * 5, "ba" * 5, "a"]
+        rights = ["a" * 70, "a" * 21, "a" * 22, "ab" * 35, "b" + "a" * 40, ""]
+        assert_matches_dp(lefts, rights)
+
+    def test_right_characters_no_left_has(self):
+        lefts = ["abc", "cab", "", "aaa", "c b a"]
+        rights = ["xyz", "axbycz", "", "q" * 30, "zzzabc", "c", "abc" + "é" * 9, "ba\x00c"]
+        assert_matches_dp(lefts, rights)
+
+    def test_more_packed_words_than_one_block(self):
+        lefts = [f"{i:02d} smith and jones xyz"[:21] for i in range(12)]
+        rights = [f"{j:03d} sm"[: 1 + j % 6] for j in range(700)]
+        per_word = max(1, 64 // (max(map(len, lefts)) + 1))
+        assert math.ceil(len(lefts) / per_word) * len(rights) > similarity._LANE_BLOCK
+        assert_matches_dp(lefts, rights)
+
+    @given(
+        st.lists(st.text(alphabet="abc ", max_size=21), max_size=40),
+        st.lists(st.text(alphabet="abcd ", max_size=24), max_size=6),
+    )
+    @settings(max_examples=60)
+    def test_packed_matches_dp(self, lefts, rights):
+        assert_matches_dp(lefts, rights)
+
 
 class TestTokenSortRatio:
     def test_reorder_is_exact(self):
