@@ -27,8 +27,7 @@ A manifest looks like::
 empty string means missing.  Foreign keys stay inside their own database —
 cross-database links are exactly what the rest of the package discovers.
 
-Loaded catalogs are immutable: safe to share across threads and to ship to
-worker processes.
+Loaded catalogs are immutable: safe to share across threads.
 """
 
 from __future__ import annotations

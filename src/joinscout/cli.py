@@ -3,7 +3,7 @@
 Subcommands::
 
     joinscout generate --out DIR [--seed N] [--scale N]
-    joinscout discover MANIFEST [--config FILE] [--graph-out FILE] [--jobs N]
+    joinscout discover MANIFEST [--config FILE] [--graph-out FILE]
     joinscout path GRAPH SOURCE TARGET
     joinscout join GRAPH MANIFEST SOURCE TARGET [--out FILE] [--config FILE] [--limit N]
     joinscout graph GRAPH [--out FILE]
@@ -54,13 +54,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
+def _non_negative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
     return value
 
 
@@ -78,7 +78,6 @@ def build_parser() -> _Parser:
     p_disc.add_argument("manifest", help="catalog manifest.json")
     p_disc.add_argument("--config", help="scoring configuration JSON")
     p_disc.add_argument("--graph-out", default="join_graph.json", help="where to write the graph")
-    p_disc.add_argument("--jobs", type=_positive_int, default=1, help="validation worker processes")
 
     p_path = sub.add_parser("path", help="cheapest join path between two tables")
     p_path.add_argument("graph", help="join graph JSON from 'discover'")
@@ -92,7 +91,7 @@ def build_parser() -> _Parser:
     p_join.add_argument("target")
     p_join.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
     p_join.add_argument("--config", help="scoring configuration JSON")
-    p_join.add_argument("--limit", type=int, help="write at most N rows")
+    p_join.add_argument("--limit", type=_non_negative_int, help="write at most N rows")
 
     p_dot = sub.add_parser("graph", help="render the join graph as Graphviz DOT")
     p_dot.add_argument("graph", help="join graph JSON from 'discover'")
@@ -147,7 +146,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
     candidates = filter_candidates(scored, config)
     print(f"{len(candidates)} candidate column pair(s) above threshold "
           f"{config.column_threshold}")
-    validated = validate_many(candidates, catalog, config, jobs=args.jobs)
+    validated = validate_many(candidates, catalog, config)
     graph = build_graph(catalog, validated, config)
     Path(args.graph_out).write_text(graph_to_json(graph), encoding="utf-8")
     fuzzy = [e for e in graph.edges if e.kind.value == "fuzzy"]

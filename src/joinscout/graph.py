@@ -136,8 +136,8 @@ def edge_weight(s: float, epsilon: float = 1e-6) -> float:
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"overlap s must be in [0, 1], got {s}")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     return max(0.0, -math.log2(min(s + epsilon, 1.0)))
 
 
@@ -334,6 +334,13 @@ def _number(raw: object, where: str, optional: bool = False) -> float | None:
     return float(raw)
 
 
+def _overlap(raw: object, where: str) -> float:
+    s = _number(raw, where)
+    if not 0.0 <= s <= 1.0:  # type: ignore[operator]
+        raise GraphFormatError(f"{where}: 's' must be in [0, 1], got {s}")
+    return s  # type: ignore[return-value]
+
+
 def graph_from_json(text: str) -> JoinGraph:
     """Parse a graph from its JSON handoff format."""
     try:
@@ -374,9 +381,15 @@ def graph_from_json(text: str) -> JoinGraph:
             alternates.append(
                 EdgeAlternate(
                     join_columns=_columns_from_json(raw_alt.get("columns"), alt_where),
-                    overlap_s=_number(raw_alt.get("s"), alt_where),  # type: ignore[arg-type]
+                    overlap_s=_overlap(raw_alt.get("s"), alt_where),
                     value_score=_number(raw_alt.get("value_score"), alt_where, optional=True),
                 )
+            )
+        # Dijkstra needs non-negative weights; NaN fails both comparisons.
+        weight = _number(raw.get("weight"), where)
+        if not 0.0 <= weight < math.inf:  # type: ignore[operator]
+            raise GraphFormatError(
+                f"{where}: 'weight' must be finite and non-negative, got {weight}"
             )
         edges.append(
             JoinEdge(
@@ -384,8 +397,8 @@ def graph_from_json(text: str) -> JoinGraph:
                 right=right,
                 kind=kind,
                 join_columns=_columns_from_json(raw.get("columns"), where),
-                overlap_s=_number(raw.get("s"), where),  # type: ignore[arg-type]
-                weight=_number(raw.get("weight"), where),  # type: ignore[arg-type]
+                overlap_s=_overlap(raw.get("s"), where),
+                weight=weight,  # type: ignore[arg-type]
                 value_score=_number(raw.get("value_score"), where, optional=True),
                 alternates=tuple(alternates),
             )

@@ -15,7 +15,8 @@ move on to row-level validation.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+import math
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -38,7 +39,8 @@ __all__ = [
 class MatchConfig:
     """Knobs for matching, validation, and graph weighting.
 
-    ``alpha``, ``beta``, ``gamma`` must be non-negative and sum to 1.
+    Every number must be finite.  ``alpha``, ``beta``, ``gamma`` must be
+    non-negative and sum to 1.
     """
 
     alpha: float = 0.4
@@ -51,6 +53,10 @@ class MatchConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value}")
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ConfigError("weights must be non-negative")
         if abs(self.alpha + self.beta + self.gamma - 1.0) > 1e-9:

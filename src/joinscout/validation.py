@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import logging
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -161,39 +160,25 @@ def validate(
     )
 
 
-_WORKER_CATALOG: Catalog | None = None
-_WORKER_CONFIG: MatchConfig | None = None
-
-
-def _init_worker(catalog: Catalog, config: MatchConfig) -> None:
-    global _WORKER_CATALOG, _WORKER_CONFIG
-    _WORKER_CATALOG = catalog
-    _WORKER_CONFIG = config
-
-
-def _validate_in_worker(match: ColumnMatch) -> ValidationResult | None:
-    assert _WORKER_CATALOG is not None and _WORKER_CONFIG is not None
-    return validate(match, _WORKER_CATALOG, _WORKER_CONFIG)
-
-
 def validate_many(
     matches: Iterable[ColumnMatch],
     catalog: Catalog,
     config: MatchConfig | None = None,
     jobs: int = 1,
 ) -> list[ValidationResult]:
-    """Validate candidates, optionally across processes.
+    """Validate candidates and drop the rejected ones.
 
     Candidates are processed in sorted pair order and results keep that
-    order, so the output is identical for any ``jobs`` value.
+    order, so the output does not depend on the input order.
+
+    ``jobs`` must be 1; any other value raises :class:`ValueError`.  The
+    parameter stays only because the benchmark's ``perfbench/ops.py``
+    passes ``jobs=1``; ROADMAP item 6's benchmark change deletes the
+    parameter together with that call.
     """
+    if jobs != 1:
+        raise ValueError(f"validate_many runs in one process; jobs must be 1, got {jobs}")
     cfg = config or MatchConfig()
     ordered = sorted(matches, key=lambda m: (m.left, m.right))
-    if jobs <= 1:
-        results = [validate(m, catalog, cfg) for m in ordered]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(catalog, cfg)
-        ) as pool:
-            results = list(pool.map(_validate_in_worker, ordered))
+    results = (validate(m, catalog, cfg) for m in ordered)
     return [r for r in results if r is not None]

@@ -65,17 +65,6 @@ class TestDiscover:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() == workspace["graph"].read_bytes()
 
-    def test_parallel_matches_serial(self, workspace, tmp_path):
-        par = tmp_path / "par.json"
-        code = main(
-            [
-                "discover", str(workspace["manifest"]),
-                "--graph-out", str(par), "--jobs", "2",
-            ]
-        )
-        assert code == EXIT_OK
-        assert par.read_bytes() == workspace["graph"].read_bytes()
-
     def test_missing_manifest(self, tmp_path, capsys):
         code = main(["discover", str(tmp_path / "nope.json")])
         assert code == EXIT_DATA
@@ -92,6 +81,29 @@ class TestDiscover:
             ]
         )
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"alpha": NaN, "beta": 0.3, "gamma": 0.3}',
+            '{"epsilon": NaN}',
+            '{"epsilon": Infinity}',
+        ],
+    )
+    def test_non_finite_config(self, workspace, tmp_path, capsys, body):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(body, encoding="utf-8")
+        graph_out = tmp_path / "g.json"
+        code = main(
+            [
+                "discover", str(workspace["manifest"]),
+                "--config", str(cfg),
+                "--graph-out", str(graph_out),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert "finite" in capsys.readouterr().err
+        assert not graph_out.exists()
 
 
 class TestPath:
@@ -144,6 +156,17 @@ class TestPath:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken", encoding="utf-8")
         assert main(["path", str(bad), "A", "B"]) == EXIT_DATA
+
+    def test_negative_weight_graph_file(self, tmp_path, capsys):
+        a, b = TableRef("d1", "A"), TableRef("d2", "B")
+        edge = JoinEdge(
+            left=a, right=b, kind=EdgeKind.FUZZY, join_columns=(("k", "k"),),
+            overlap_s=0.5, weight=-5.0,
+        )
+        path = tmp_path / "negative.json"
+        path.write_text(graph_to_json(JoinGraph(nodes=(a, b), edges=(edge,))), encoding="utf-8")
+        assert main(["path", str(path), "A", "B"]) == EXIT_DATA
+        assert "weight" in capsys.readouterr().err
 
 
 class TestJoin:
@@ -228,9 +251,8 @@ class TestUsageErrors:
             ["generate"],                       # --out is required
             ["discover"],                       # manifest is required
             ["path", "g.json", "OnlyOne"],
-            ["discover", "m.json", "--jobs", "many"],
-            ["discover", "m.json", "--jobs", "0"],
-            ["discover", "m.json", "--jobs", "-2"],
+            ["join", "g.json", "m.json", "A", "B", "--limit", "-3"],
+            ["join", "g.json", "m.json", "A", "B", "--limit", "many"],
         ],
     )
     def test_exit_one(self, argv, capsys):

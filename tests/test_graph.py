@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from joinscout.catalog import ColumnRef, TableRef
 from joinscout.errors import GraphFormatError, UnknownTableError
 from joinscout.graph import (
+    EdgeAlternate,
     EdgeKind,
     JoinEdge,
     JoinGraph,
@@ -52,6 +54,11 @@ class TestEdgeWeight:
     def test_bad_epsilon(self):
         with pytest.raises(ValueError):
             edge_weight(0.5, 0.0)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_non_finite_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            edge_weight(0.5, epsilon)
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
     def test_monotone_nonincreasing(self, a, b):
@@ -336,6 +343,44 @@ class TestSerialization:
                     "s": 0.5, "weight": 1.0}]}
         """
         with pytest.raises(GraphFormatError, match="endpoint"):
+            graph_from_json(text)
+
+    @pytest.mark.parametrize("weight", [-5.0, math.nan, math.inf])
+    def test_weight_must_be_finite_and_non_negative(self, weight):
+        # Loaded with B-C at -5, Dijkstra would settle C through A-C (0.5)
+        # although A-B-C sums to -4.
+        a, b, c = TableRef("d", "A"), TableRef("d", "B"), TableRef("d", "C")
+        graph = JoinGraph(
+            nodes=(a, b, c),
+            edges=(
+                JoinEdge(left=a, right=b, kind=EdgeKind.FK, join_columns=(("x", "x"),),
+                         overlap_s=0.5, weight=1.0),
+                JoinEdge(left=b, right=c, kind=EdgeKind.FK, join_columns=(("y", "y"),),
+                         overlap_s=0.5, weight=weight),
+                JoinEdge(left=a, right=c, kind=EdgeKind.FK, join_columns=(("z", "z"),),
+                         overlap_s=0.7, weight=0.5),
+            ),
+        )
+        with pytest.raises(GraphFormatError, match=r"edges\[1\].*weight"):
+            graph_from_json(graph_to_json(graph))
+
+    @pytest.mark.parametrize("s", [1.5, -0.1, math.nan])
+    def test_edge_s_must_be_in_unit_interval(self, memory_catalog, s):
+        graph = self._graph(memory_catalog)
+        edges = tuple(replace(e, overlap_s=s) for e in graph.edges)
+        with pytest.raises(GraphFormatError, match="'s' must be in"):
+            graph_from_json(graph_to_json(replace(graph, edges=edges)))
+
+    @pytest.mark.parametrize("s", [1.5, math.nan])
+    def test_alternate_s_must_be_in_unit_interval(self, s):
+        a, b = TableRef("d1", "A"), TableRef("d2", "B")
+        edge = JoinEdge(
+            left=a, right=b, kind=EdgeKind.FUZZY, join_columns=(("k", "k"),),
+            overlap_s=0.5, weight=edge_weight(0.5),
+            alternates=(EdgeAlternate(join_columns=(("j", "j"),), overlap_s=s),),
+        )
+        text = graph_to_json(JoinGraph(nodes=(a, b), edges=(edge,)))
+        with pytest.raises(GraphFormatError, match=r"alternates\[0\]: 's' must be in"):
             graph_from_json(text)
 
 

@@ -85,6 +85,11 @@ class TestLoadConfig:
             ('{"sample_cap": 2.5}', "type"),
             ('{"alpha": true}', "type"),
             ('{"alpha": 0.9}', "sum to 1"),
+            ('{"alpha": NaN, "beta": 0.3, "gamma": 0.3}', "alpha must be a finite"),
+            ('{"alpha": Infinity}', "alpha must be a finite"),
+            ('{"epsilon": NaN}', "epsilon must be a finite"),
+            ('{"epsilon": Infinity}', "epsilon must be a finite"),
+            ('{"row_threshold": -Infinity}', "row_threshold must be a finite"),
         ],
     )
     def test_malformed(self, tmp_path, body, message):

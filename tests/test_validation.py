@@ -267,10 +267,13 @@ class TestValidateMany:
         assert len(results) == 1
         assert results[0].match.left.column == "user_name"
 
-    def test_parallel_equals_serial(self, memory_catalog):
-        serial = validate_many(self._matches(memory_catalog), memory_catalog, jobs=1)
-        parallel = validate_many(self._matches(memory_catalog), memory_catalog, jobs=2)
-        assert serial == parallel
+    def test_only_one_job(self, memory_catalog):
+        matches = self._matches(memory_catalog)
+        with pytest.raises(ValueError, match="jobs"):
+            validate_many(matches, memory_catalog, jobs=2)
+        assert validate_many(matches, memory_catalog, jobs=1) == validate_many(
+            matches, memory_catalog
+        )
 
     def test_input_order_irrelevant(self, memory_catalog):
         matches = self._matches(memory_catalog)
