@@ -334,11 +334,12 @@ def _number(raw: object, where: str, optional: bool = False) -> float | None:
     return float(raw)
 
 
-def _overlap(raw: object, where: str) -> float:
-    s = _number(raw, where)
-    if not 0.0 <= s <= 1.0:  # type: ignore[operator]
-        raise GraphFormatError(f"{where}: 's' must be in [0, 1], got {s}")
-    return s  # type: ignore[return-value]
+def _fraction(raw: object, where: str, key: str, optional: bool = False) -> float | None:
+    # NaN fails both comparisons, so it is rejected with the rest.
+    x = _number(raw, where, optional)
+    if x is not None and not 0.0 <= x <= 1.0:
+        raise GraphFormatError(f"{where}: {key!r} must be in [0, 1], got {x}")
+    return x
 
 
 def graph_from_json(text: str) -> JoinGraph:
@@ -381,8 +382,10 @@ def graph_from_json(text: str) -> JoinGraph:
             alternates.append(
                 EdgeAlternate(
                     join_columns=_columns_from_json(raw_alt.get("columns"), alt_where),
-                    overlap_s=_overlap(raw_alt.get("s"), alt_where),
-                    value_score=_number(raw_alt.get("value_score"), alt_where, optional=True),
+                    overlap_s=_fraction(raw_alt.get("s"), alt_where, "s"),  # type: ignore[arg-type]
+                    value_score=_fraction(
+                        raw_alt.get("value_score"), alt_where, "value_score", optional=True
+                    ),
                 )
             )
         # Dijkstra needs non-negative weights; NaN fails both comparisons.
@@ -397,9 +400,9 @@ def graph_from_json(text: str) -> JoinGraph:
                 right=right,
                 kind=kind,
                 join_columns=_columns_from_json(raw.get("columns"), where),
-                overlap_s=_overlap(raw.get("s"), where),
+                overlap_s=_fraction(raw.get("s"), where, "s"),  # type: ignore[arg-type]
                 weight=weight,  # type: ignore[arg-type]
-                value_score=_number(raw.get("value_score"), where, optional=True),
+                value_score=_fraction(raw.get("value_score"), where, "value_score", optional=True),
                 alternates=tuple(alternates),
             )
         )

@@ -124,18 +124,15 @@ def candidate_pairs(catalog: Catalog) -> Iterator[tuple[ColumnRef, ColumnRef]]:
     already covered by a declared foreign key never occur here because
     foreign keys cannot cross databases.
     """
-    dbs = catalog.databases
-    for i, left_db in enumerate(dbs):
-        left_cols = [
-            ColumnRef(left_db.name, tab.name, col.name)
-            for tab in left_db.tables
-            for col in tab.columns
-        ]
-        for right_db in dbs[i + 1 :]:
+    refs = [
+        [ColumnRef(db.name, tab.name, col.name) for tab in db.tables for col in tab.columns]
+        for db in catalog.databases
+    ]
+    for i, left_cols in enumerate(refs):
+        for right_cols in refs[i + 1 :]:
             for left in left_cols:
-                for tab in right_db.tables:
-                    for col in tab.columns:
-                        yield left, ColumnRef(right_db.name, tab.name, col.name)
+                for right in right_cols:
+                    yield left, right
 
 
 def score_pair(

@@ -2,13 +2,13 @@
 
 Everything in this module is deterministic and self-contained: no model
 downloads and no network.  The only global state is the default provider
-instance and three bounded memos that never change a result: each
+instance and two bounded memos that never change a result: each
 :class:`TrigramProvider` keeps the vectors it has embedded together with
-their norms, :func:`token_set` keeps token sets, and :func:`gestalt_ratio`
-keeps the character positions of each right-hand string.  Column matching
+their norms, and :func:`token_set` keeps token sets.  Column matching
 scores every pair over a few dozen distinct names, so each name is
-embedded, tokenised and indexed once.  :func:`gestalt_ratio` runs its own
-Ratcliff/Obershelp block matching; difflib is no longer used.
+embedded and tokenised once.  :func:`gestalt_ratio` runs its own
+Ratcliff/Obershelp block matching with str substring search; difflib is
+not used.
 
 All similarity functions return floats in ``[0.0, 1.0]``.  All but
 :func:`gestalt_ratio` are symmetric in their two string arguments; the
@@ -82,40 +82,41 @@ def gestalt_ratio(a: str, b: str) -> float:
     It equals ``difflib.SequenceMatcher(None, a.lower(), b.lower(),
     autojunk=False).ratio()`` bit for bit, ties included: of the longest
     blocks, the one starting earliest in ``a``, then earliest in ``b``.
-    Without junk, difflib's block extension never fires, and its sort and
-    merging of adjacent blocks do not change the sum, so all three are left
-    out.
+
+    Each window of ``a`` and ``b`` finds its longest block by a grow-and-slide
+    scan: while ``a[i:i + k]`` occurs in the window of ``b``, it is the best
+    block so far and ``k`` grows by one; otherwise no block of length ``k``
+    starts at ``i`` and ``i`` moves on.  So the scan ends on the longest
+    length with the first ``i`` that has a block of it, and ``str.find``
+    gives that block's first position in ``b``.  Without junk, difflib's
+    block extension never fires, and its sort and merging of adjacent blocks
+    do not change the sum, so all three are left out.
     """
     a = a.lower()
     b = b.lower()
     total = len(a) + len(b)
     if not total:
         return 1.0
-    b2j = _positions(b)
     matched = 0
     queue = [(0, len(a), 0, len(b))]
     while queue:
         alo, ahi, blo, bhi = queue.pop()
-        besti = bestj = bestsize = 0
-        # j2len[j]: length of the longest match ending at a[i - 1], b[j].
-        j2len: dict[int, int] = {}
-        for i in range(alo, ahi):
-            get = j2len.get
-            j2len = {}
-            for j in b2j.get(a[i], ()):
-                if j < blo:
-                    continue
-                if j >= bhi:
-                    break
-                k = j2len[j] = get(j - 1, 0) + 1
-                if k > bestsize:
-                    besti, bestj, bestsize = i - k + 1, j - k + 1, k
-        if bestsize:
-            matched += bestsize
+        window = b[blo:bhi]
+        besti = size = 0
+        i, k = alo, 1
+        while i + k <= ahi:
+            if a[i : i + k] in window:
+                besti, size = i, k
+                k += 1
+            else:
+                i += 1
+        if size:
+            matched += size
+            bestj = blo + window.find(a[besti : besti + size])
             if alo < besti and blo < bestj:
                 queue.append((alo, besti, blo, bestj))
-            if besti + bestsize < ahi and bestj + bestsize < bhi:
-                queue.append((besti + bestsize, ahi, bestj + bestsize, bhi))
+            if besti + size < ahi and bestj + size < bhi:
+                queue.append((besti + size, ahi, bestj + size, bhi))
     return 2.0 * matched / total
 
 
@@ -309,15 +310,6 @@ _MEMO_LIMIT = 4096
 def token_set(text: str) -> frozenset[str]:
     """Tokens of ``text``, splitting on non-alphanumerics and camelCase."""
     return frozenset(normalize(_CAMEL_BOUNDARY.sub(" ", text)).split())
-
-
-@functools.lru_cache(maxsize=_MEMO_LIMIT)
-def _positions(text: str) -> dict[str, list[int]]:
-    """Ascending positions of each character of ``text`` (shared, read-only)."""
-    b2j: dict[str, list[int]] = {}
-    for j, ch in enumerate(text):
-        b2j.setdefault(ch, []).append(j)
-    return b2j
 
 
 def token_overlap(a: str, b: str) -> float:

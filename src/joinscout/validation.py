@@ -12,7 +12,9 @@ survive a look at the data:
   join graph consumes.
 
 Columns are compared on distinct values only; large columns are first cut
-down to a seeded deterministic sample of ``sample_cap`` values.
+down to a seeded deterministic sample of ``sample_cap`` values.  ``validate``
+builds one similarity matrix per candidate, over the distinct sorted-token
+forms of each side, and reads both scores from it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import logging
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .catalog import Catalog
 from .errors import EmptyColumnError
@@ -56,14 +60,12 @@ def value_score(left_values: Sequence[str], right_values: Sequence[str]) -> floa
     Empty strings are dropped first; raises :class:`EmptyColumnError` if
     either side has nothing left.
     """
-    lefts = [sorted_token_form(v) for v in left_values if v]
-    rights = sorted({sorted_token_form(v) for v in right_values if v})
+    lefts = [v for v in left_values if v]
+    rights = [v for v in right_values if v]
     if not lefts or not rights:
         raise EmptyColumnError("value_score needs non-empty values on both sides")
-
-    forms = sorted(set(lefts))
-    best = dict(zip(forms, similarity_matrix(forms, rights).max(axis=1).tolist()))
-    return sum(best[form] for form in lefts) / len(lefts)
+    sims, left_of, _ = _form_matrix(lefts, rights)
+    return _value_score(sims, left_of)
 
 
 def fuzzy_jaccard(
@@ -75,36 +77,69 @@ def fuzzy_jaccard(
 
     Every cross pair at or above the threshold is considered, best first,
     and greedily locked into a one-to-one matching; the matched count ``m``
-    then plays the intersection in ``m / (|L| + |R| - m)``.  Tie-breaking
-    uses the sorted value pair, which makes the result symmetric in its
-    arguments.
+    then plays the intersection in ``m / (|L| + |R| - m)``.  Ties are taken
+    in the order of the sorted value pair, which makes the result symmetric
+    in its arguments.
     """
     lefts = sorted({v for v in left_values if v})
     rights = sorted({v for v in right_values if v})
     if not lefts or not rights:
         raise EmptyColumnError("fuzzy_jaccard needs non-empty values on both sides")
+    return _fuzzy_jaccard(*_form_matrix(lefts, rights), row_threshold)
 
-    sims = similarity_matrix(
-        [sorted_token_form(v) for v in lefts], [sorted_token_form(v) for v in rights]
-    )
-    rows, cols = (sims >= row_threshold).nonzero()
-    scored: list[tuple[float, str, str, str, str]] = []
-    for i, j, sim in zip(rows.tolist(), cols.tolist(), sims[rows, cols].tolist()):
-        lv, rv = lefts[i], rights[j]
-        a, b = (lv, rv) if lv <= rv else (rv, lv)
-        scored.append((-sim, a, b, lv, rv))
-    scored.sort()
 
-    used_left: set[str] = set()
-    used_right: set[str] = set()
+def _form_matrix(
+    lefts: Sequence[str], rights: Sequence[str]
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """``similarity_matrix`` over the distinct sorted-token forms of each
+    side, with each left value's row and each right value's column in it."""
+    left_forms, left_of = _forms(lefts)
+    right_forms, right_of = _forms(rights)
+    return similarity_matrix(left_forms, right_forms), left_of, right_of
+
+
+def _forms(values: Sequence[str]) -> tuple[list[str], list[int]]:
+    """The distinct sorted-token forms of ``values``, sorted, and the index
+    of each value's form in that list."""
+    forms = [sorted_token_form(v) for v in values]
+    distinct = sorted(set(forms))
+    index = {form: i for i, form in enumerate(distinct)}
+    return distinct, [index[form] for form in forms]
+
+
+def _value_score(sims: np.ndarray, left_of: list[int]) -> float:
+    """Mean over left values of their form's row maximum in ``sims``."""
+    best = sims.max(axis=1).tolist()
+    return sum(best[i] for i in left_of) / len(left_of)
+
+
+def _fuzzy_jaccard(
+    sims: np.ndarray, left_of: list[int], right_of: list[int], row_threshold: float
+) -> float:
+    """Greedy fuzzy Jaccard of two sorted lists of distinct values.
+
+    ``sims`` is the matrix of their distinct forms; ``left_of`` and
+    ``right_of`` map each value, in order, to its form's row and column.
+    Cells at or above the threshold are taken by descending similarity,
+    ties in (left, right) order.  The greedy loop takes a cell unless an
+    earlier cell shares its left or its right value, so the matching
+    depends only on the order of cells that share a value, and on those the
+    (left, right) order and the order of the sorted value pair agree.
+    """
+    cells = sims[np.ix_(left_of, right_of)]
+    # nonzero lists cells in (left, right) order; a stable sort keeps it.
+    rows, cols = (cells >= row_threshold).nonzero()
+    order = np.argsort(-cells[rows, cols], kind="stable")
+
+    used_left = [False] * len(left_of)
+    used_right = [False] * len(right_of)
     matched = 0
-    for _, _, _, lv, rv in scored:
-        if lv in used_left or rv in used_right:
+    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
+        if used_left[i] or used_right[j]:
             continue
-        used_left.add(lv)
-        used_right.add(rv)
+        used_left[i] = used_right[j] = True
         matched += 1
-    return matched / (len(lefts) + len(rights) - matched)
+    return matched / (len(left_of) + len(right_of) - matched)
 
 
 def sample_distinct(values: Iterable[str], cap: int, seed_key: str) -> list[str]:
@@ -140,7 +175,8 @@ def validate(
     if not left_sample or not right_sample:
         log.debug("rejected %s ~ %s: empty side", match.left, match.right)
         return None
-    score = value_score(left_sample, right_sample)
+    sims, left_of, right_of = _form_matrix(left_sample, right_sample)
+    score = _value_score(sims, left_of)
     if score < cfg.row_threshold:
         log.debug(
             "rejected %s ~ %s: value score %.3f < %.3f",
@@ -150,7 +186,7 @@ def validate(
             cfg.row_threshold,
         )
         return None
-    s = fuzzy_jaccard(left_sample, right_sample, cfg.row_threshold)
+    s = _fuzzy_jaccard(sims, left_of, right_of, cfg.row_threshold)
     return ValidationResult(
         match=match,
         value_score=score,

@@ -168,6 +168,18 @@ class TestPath:
         assert main(["path", str(path), "A", "B"]) == EXIT_DATA
         assert "weight" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value_score", [float("nan"), float("inf"), 1.5])
+    def test_out_of_range_value_score_graph_file(self, tmp_path, capsys, value_score):
+        a, b = TableRef("d1", "A"), TableRef("d2", "B")
+        edge = JoinEdge(
+            left=a, right=b, kind=EdgeKind.FUZZY, join_columns=(("k", "k"),),
+            overlap_s=0.5, weight=edge_weight(0.5), value_score=value_score,
+        )
+        path = tmp_path / "bad_value_score.json"
+        path.write_text(graph_to_json(JoinGraph(nodes=(a, b), edges=(edge,))), encoding="utf-8")
+        assert main(["path", str(path), "A", "B"]) == EXIT_DATA
+        assert "value_score" in capsys.readouterr().err
+
 
 class TestJoin:
     def test_join_to_file(self, workspace, tmp_path, capsys):

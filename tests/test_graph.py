@@ -383,6 +383,45 @@ class TestSerialization:
         with pytest.raises(GraphFormatError, match=r"alternates\[0\]: 's' must be in"):
             graph_from_json(text)
 
+    @pytest.mark.parametrize("value_score", [math.nan, math.inf, -math.inf, -0.1, 1.5])
+    def test_edge_value_score_must_be_in_unit_interval(self, memory_catalog, value_score):
+        graph = self._graph(memory_catalog)
+        edges = tuple(
+            replace(e, value_score=value_score) if e.kind is EdgeKind.FUZZY else e
+            for e in graph.edges
+        )
+        with pytest.raises(GraphFormatError, match=r"edges\[\d+\]: 'value_score' must be in"):
+            graph_from_json(graph_to_json(replace(graph, edges=edges)))
+
+    @pytest.mark.parametrize("value_score", [math.nan, math.inf, -0.1, 1.5])
+    def test_alternate_value_score_must_be_in_unit_interval(self, value_score):
+        a, b = TableRef("d1", "A"), TableRef("d2", "B")
+        edge = JoinEdge(
+            left=a, right=b, kind=EdgeKind.FUZZY, join_columns=(("k", "k"),),
+            overlap_s=0.5, weight=edge_weight(0.5), value_score=0.9,
+            alternates=(
+                EdgeAlternate(join_columns=(("j", "j"),), overlap_s=0.4, value_score=value_score),
+            ),
+        )
+        text = graph_to_json(JoinGraph(nodes=(a, b), edges=(edge,)))
+        with pytest.raises(
+            GraphFormatError, match=r"alternates\[0\]: 'value_score' must be in"
+        ):
+            graph_from_json(text)
+
+    @pytest.mark.parametrize("value_score", [0.0, 1.0, None])
+    def test_value_score_bounds_and_absence_load(self, value_score):
+        a, b = TableRef("d1", "A"), TableRef("d2", "B")
+        edge = JoinEdge(
+            left=a, right=b, kind=EdgeKind.FUZZY, join_columns=(("k", "k"),),
+            overlap_s=0.5, weight=edge_weight(0.5), value_score=value_score,
+            alternates=(
+                EdgeAlternate(join_columns=(("j", "j"),), overlap_s=0.4, value_score=value_score),
+            ),
+        )
+        graph = JoinGraph(nodes=(a, b), edges=(edge,))
+        assert graph_from_json(graph_to_json(graph)) == graph
+
 
 class TestExportDot:
     def test_structure(self, memory_catalog):

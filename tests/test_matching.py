@@ -118,6 +118,23 @@ class TestCandidatePairs:
         pairs = list(candidate_pairs(memory_catalog))
         assert len({frozenset(p) for p in pairs}) == len(pairs)
 
+    def test_order_equals_nested_loops(self, tmp_path):
+        # Reference: database i before database j > i, then left column,
+        # then right table and column, each in catalog order.
+        catalog = generate_catalog(tmp_path, seed=3, scale=1)
+        dbs = catalog.databases
+        expected = [
+            (ColumnRef(ldb.name, ltab.name, lcol.name), ColumnRef(rdb.name, rtab.name, rcol.name))
+            for i, ldb in enumerate(dbs)
+            for rdb in dbs[i + 1 :]
+            for ltab in ldb.tables
+            for lcol in ltab.columns
+            for rtab in rdb.tables
+            for rcol in rtab.columns
+        ]
+        assert len(expected) == 1095
+        assert list(candidate_pairs(catalog)) == expected
+
 
 class TestScorePair:
     LEFT = ColumnRef("a", "T", "clinic_name")

@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from joinscout import similarity
+from joinscout.fuzzgen import generate_catalog
+from joinscout.matching import candidate_pairs
 from joinscout.similarity import (
     DEFAULT_SYNONYMS,
     SemanticProvider,
@@ -106,6 +108,21 @@ class TestGestaltRatio:
     @settings(max_examples=500)
     def test_matches_difflib(self, a, b):
         assert gestalt_ratio(a, b) == difflib_ratio(a, b)
+
+    # Long runs over three letters put the longest block at the edges of
+    # each window, where the scan's bounds are tested.
+    @given(st.text(alphabet="abc", max_size=64), st.text(alphabet="abc", max_size=64))
+    @settings(max_examples=300)
+    def test_matches_difflib_on_long_runs(self, a, b):
+        assert gestalt_ratio(a, b) == difflib_ratio(a, b)
+
+    @pytest.mark.parametrize("scale", [1, 4, 13])
+    def test_matches_difflib_on_catalog_names(self, tmp_path, scale):
+        catalog = generate_catalog(tmp_path, seed=0, scale=scale)
+        for left, right in candidate_pairs(catalog):
+            a, b = left.column, right.column
+            assert gestalt_ratio(a, b) == difflib_ratio(a, b), (a, b)
+            assert gestalt_ratio(b, a) == difflib_ratio(b, a), (b, a)
 
     def test_matches_difflib_past_autojunk_length(self):
         # At 200 characters difflib's autojunk would drop popular characters.

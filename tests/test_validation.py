@@ -1,8 +1,9 @@
 """Row-level validation: value scores, fuzzy Jaccard, sampling, orchestration.
 
 Oracles here are deliberately naive re-implementations: a nested-loop
-max/mean for value_score and an exhaustive optimal matching (all
-permutations) for the greedy fuzzy intersection.
+max/mean for value_score, an exhaustive optimal matching (all
+permutations) for the greedy fuzzy intersection, and a sort of Python
+tuples for the greedy order.
 """
 
 from __future__ import annotations
@@ -15,9 +16,17 @@ from hypothesis import strategies as st
 
 from joinscout.catalog import ColumnRef
 from joinscout.errors import EmptyColumnError
-from joinscout.matching import ColumnMatch, MatchConfig
-from joinscout.similarity import token_sort_ratio
+from joinscout.fuzzgen import generate_catalog
+from joinscout.matching import (
+    ColumnMatch,
+    MatchConfig,
+    candidate_pairs,
+    filter_candidates,
+    score_pair,
+)
+from joinscout.similarity import similarity_matrix, sorted_token_form, token_sort_ratio
 from joinscout.validation import (
+    ValidationResult,
     fuzzy_jaccard,
     sample_distinct,
     validate,
@@ -104,6 +113,47 @@ def brute_best_matching(lefts, rights, threshold):
     return best
 
 
+def tuple_sort_fuzzy_jaccard(left_values, right_values, row_threshold):
+    """Reference greedy order: sort ``(-sim, a, b, lv, rv)`` tuples, where
+    ``(a, b)`` is the value pair in sorted order, and lock pairs in."""
+    lefts = sorted({v for v in left_values if v})
+    rights = sorted({v for v in right_values if v})
+    sims = similarity_matrix(
+        [sorted_token_form(v) for v in lefts], [sorted_token_form(v) for v in rights]
+    )
+    scored = []
+    for i, lv in enumerate(lefts):
+        for j, rv in enumerate(rights):
+            sim = float(sims[i, j])
+            if sim >= row_threshold:
+                a, b = (lv, rv) if lv <= rv else (rv, lv)
+                scored.append((-sim, a, b, lv, rv))
+    scored.sort()
+    used_left, used_right = set(), set()
+    matched = 0
+    for _, _, _, lv, rv in scored:
+        if lv in used_left or rv in used_right:
+            continue
+        used_left.add(lv)
+        used_right.add(rv)
+        matched += 1
+    return matched / (len(lefts) + len(rights) - matched)
+
+
+# Raw values of one or two short tokens in either order and case: many
+# share a sorted-token form ("b a", "A, B" and "a b" all sort to "a b"), so
+# equal similarities, and ties in the greedy order, are the common case.
+tied_values = st.sampled_from(
+    [
+        sep.join(tokens).upper() if upper else sep.join(tokens)
+        for n in (1, 2)
+        for tokens in itertools.product(["a", "b", "ab", "ba", "c"], repeat=n)
+        for sep in (" ", ", ")
+        for upper in (False, True)
+    ]
+)
+
+
 class TestFuzzyJaccard:
     def test_known_example(self):
         got = fuzzy_jaccard({"John Smith", "Amoxicillin"}, {"Smith John", "Ibuprofen"}, 0.5)
@@ -155,6 +205,32 @@ class TestFuzzyJaccard:
         rights = {"beta alpha", "delta gamma", "unrelated thing"}
         s = fuzzy_jaccard(lefts, rights, 0.95)
         assert s == pytest.approx(2 / 4, abs=1e-12)
+
+    @given(
+        st.sets(tied_values, min_size=1, max_size=12),
+        st.sets(tied_values, min_size=1, max_size=12),
+        st.sampled_from([0.5, 0.6, 0.8, 1.0]),
+    )
+    @settings(max_examples=400)
+    def test_greedy_order_matches_tuple_sort(self, lefts, rights, threshold):
+        assert fuzzy_jaccard(lefts, rights, threshold) == tuple_sort_fuzzy_jaccard(
+            lefts, rights, threshold
+        )
+
+    @pytest.mark.parametrize(
+        "lefts, rights",
+        [
+            # Three cells at 2/3 in a path a - ba - b - bc: taking the middle
+            # cell (b, ba) first would match one pair, not two.
+            ({"a", "b"}, {"ba", "bc"}),
+            # Three cells at 1/2 in a path "a b" - a - "c a" - c.
+            ({"a", "c"}, {"a b", "c a"}),
+        ],
+    )
+    def test_ties_sharing_a_value_follow_the_sorted_pair(self, lefts, rights):
+        assert fuzzy_jaccard(lefts, rights, 0.5) == 1.0
+        assert fuzzy_jaccard(rights, lefts, 0.5) == 1.0
+        assert tuple_sort_fuzzy_jaccard(lefts, rights, 0.5) == 1.0
 
     def test_reduces_to_classical_jaccard(self):
         # Single-token values: similarity 1.0 happens only on equality, so
@@ -280,3 +356,30 @@ class TestValidateMany:
         assert validate_many(matches, memory_catalog) == validate_many(
             list(reversed(matches)), memory_catalog
         )
+
+
+@pytest.mark.parametrize("scale", [1, 4])
+def test_validate_many_equals_public_scores_on_catalogs(tmp_path, scale):
+    # validate reads both scores off one matrix; they must equal the public
+    # functions on the same samples, candidate by candidate.
+    cfg = MatchConfig()
+    for seed in range(12):
+        catalog = generate_catalog(tmp_path / str(seed), seed=seed, scale=scale)
+        scored = (score_pair(l, r, cfg) for l, r in candidate_pairs(catalog))
+        candidates = filter_candidates(scored, cfg)
+        expected = []
+        for match in sorted(candidates, key=lambda m: (m.left, m.right)):
+            left = sample_distinct(
+                catalog.column(match.left).values, cfg.sample_cap, f"{cfg.seed}:{match.left}"
+            )
+            right = sample_distinct(
+                catalog.column(match.right).values, cfg.sample_cap, f"{cfg.seed}:{match.right}"
+            )
+            score = value_score(left, right)
+            if score < cfg.row_threshold:
+                continue
+            s = fuzzy_jaccard(left, right, cfg.row_threshold)
+            assert s == tuple_sort_fuzzy_jaccard(left, right, cfg.row_threshold)
+            expected.append(ValidationResult(match, score, s, len(left), len(right)))
+        assert expected
+        assert repr(validate_many(candidates, catalog, cfg)) == repr(expected)
