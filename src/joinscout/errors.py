@@ -1,5 +1,19 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ConfigError",
+    "DanglingForeignKeyError",
+    "EmptyColumnError",
+    "GraphFormatError",
+    "JoinScoutError",
+    "ManifestParseError",
+    "MissingFileError",
+    "SchemaMismatchError",
+    "SingleTokenError",
+    "UnknownTableError",
+    "ValueTooShortError",
+]
+
 
 class JoinScoutError(Exception):
     """Base class for every error this package raises on purpose."""

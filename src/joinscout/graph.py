@@ -311,9 +311,12 @@ def _ref_from_json(raw: object, where: str) -> TableRef:
     return TableRef(raw["db"], raw["table"])
 
 
-def _columns_from_json(raw: object, where: str) -> tuple[tuple[str, str], ...]:
+def _columns_from_json(raw: object, where: str, kind: EdgeKind) -> tuple[tuple[str, str], ...]:
     if not isinstance(raw, list) or not raw:
         raise GraphFormatError(f"{where}: 'columns' must be a non-empty list")
+    # The executor matches a fuzzy hop on one column's values.
+    if kind is EdgeKind.FUZZY and len(raw) != 1:
+        raise GraphFormatError(f"{where}: a fuzzy join needs exactly one column pair")
     pairs = []
     for item in raw:
         if not (
@@ -357,6 +360,9 @@ def graph_from_json(text: str) -> JoinGraph:
 
     nodes = tuple(_ref_from_json(raw, f"nodes[{i}]") for i, raw in enumerate(raw_nodes))
     node_set = set(nodes)
+    if len(node_set) < len(nodes):
+        twice = next(node for i, node in enumerate(nodes) if node in nodes[:i])
+        raise GraphFormatError(f"node {twice} is listed more than once")
     edges = []
     for i, raw in enumerate(raw_edges):
         where = f"edges[{i}]"
@@ -381,7 +387,7 @@ def graph_from_json(text: str) -> JoinGraph:
                 raise GraphFormatError(f"{alt_where}: expected an object")
             alternates.append(
                 EdgeAlternate(
-                    join_columns=_columns_from_json(raw_alt.get("columns"), alt_where),
+                    join_columns=_columns_from_json(raw_alt.get("columns"), alt_where, kind),
                     overlap_s=_fraction(raw_alt.get("s"), alt_where, "s"),  # type: ignore[arg-type]
                     value_score=_fraction(
                         raw_alt.get("value_score"), alt_where, "value_score", optional=True
@@ -399,7 +405,7 @@ def graph_from_json(text: str) -> JoinGraph:
                 left=left,
                 right=right,
                 kind=kind,
-                join_columns=_columns_from_json(raw.get("columns"), where),
+                join_columns=_columns_from_json(raw.get("columns"), where, kind),
                 overlap_s=_fraction(raw.get("s"), where, "s"),  # type: ignore[arg-type]
                 weight=weight,  # type: ignore[arg-type]
                 value_score=_fraction(raw.get("value_score"), where, "value_score", optional=True),

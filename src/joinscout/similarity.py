@@ -157,9 +157,11 @@ def indel_ratio(a: str, b: str) -> float:
 
 
 # Packed uint64 words (one or more left patterns each) advanced together by
-# ``similarity_matrix``; this many bounds each temporary of the recurrence,
-# whatever the size of the output.  The ratios read out of a block take one
-# float per pattern in it.
+# ``similarity_matrix``.  A block of right strings holds ``_LANE_BLOCK //
+# words`` of them, so each temporary of the recurrence has at most this many
+# words, whatever the size of the output.  Above this many words, each
+# temporary is one row of ``words`` words.  The ratios read out of a block
+# take one float per pattern in it.
 _LANE_BLOCK = 4096
 _LANE_BITS = 64
 
@@ -226,50 +228,44 @@ def similarity_matrix(left_forms: Sequence[str], right_forms: Sequence[str]) -> 
     codes[pos, col] = np.where(alphabet[found] == points, found + 1, 0)
     rows = np.array(short)
 
-    word_block = min(words, _LANE_BLOCK)
-    right_block = max(1, _LANE_BLOCK // word_block)
-    for w0 in range(0, words, word_block):
-        w1 = min(w0 + word_block, words)
-        masks = np.ascontiguousarray(mask_table[:, w0:w1])
-        block_lefts = slice(w0 * per_word, min(w1 * per_word, len(lefts)))
-        block_rows = rows[block_lefts]
-        v = np.empty((right_block, w1 - w0), dtype=np.uint64)
-        u = np.empty_like(v)
-        w = np.empty_like(v)
-        lcs = np.empty((right_block, w1 - w0, per_word), dtype=np.uint8)
-        for r0 in range(0, len(order), right_block):
-            r1 = min(r0 + right_block, len(order))
-            lens = right_len[r0:r1]
-            # running[t]: how many of these right strings have a character t.
-            running = np.searchsorted(-lens, -np.arange(lens[0]), side="left")
-            vk, uk, wk = v[: r1 - r0], u[: r1 - r0], w[: r1 - r0]
-            vk.fill(live)
-            for t, k in enumerate(running.tolist()):
-                if k < len(vk):
-                    vk, uk, wk = vk[:k], uk[:k], wk[:k]
-                # Every code is in range; "clip" lets take write into uk unbuffered.
-                masks.take(codes[t, r0 : r0 + k], axis=0, out=uk, mode="clip")
-                uk &= vk
-                np.subtract(vk, uk, out=wk)
-                vk += uk
-                vk |= wk
-                if guard:
-                    vk &= live
-            # Inverted, the bits of each field below its guard count its LCS.
-            vb, ub = v[: r1 - r0], u[: r1 - r0]
-            np.invert(vb, out=vb)
-            for f in range(per_word):
-                np.right_shift(vb, np.uint64(f * width), out=ub)
-                ub &= field
-                np.bitwise_count(ub, out=lcs[: r1 - r0, :, f])
-            # Field f of word j holds left string (w0 + j) * per_word + f.
-            counts = lcs[: r1 - r0].reshape(r1 - r0, -1)[:, : len(block_rows)].T
-            total = left_len[block_lefts, None] + lens
-            empty = total == 0
-            ratio = np.multiply(counts, 2.0)
-            ratio /= np.maximum(total, 1, out=total)
-            ratio[empty] = 1.0
-            out[np.ix_(block_rows, order[r0:r1])] = ratio
+    right_block = max(1, _LANE_BLOCK // words)
+    v = np.empty((right_block, words), dtype=np.uint64)
+    u = np.empty_like(v)
+    w = np.empty_like(v)
+    lcs = np.empty((right_block, words, per_word), dtype=np.uint8)
+    for r0 in range(0, len(order), right_block):
+        r1 = min(r0 + right_block, len(order))
+        lens = right_len[r0:r1]
+        # running[t]: how many of these right strings have a character t.
+        running = np.searchsorted(-lens, -np.arange(lens[0]), side="left")
+        vk, uk, wk = v[: r1 - r0], u[: r1 - r0], w[: r1 - r0]
+        vk.fill(live)
+        for t, k in enumerate(running.tolist()):
+            if k < len(vk):
+                vk, uk, wk = vk[:k], uk[:k], wk[:k]
+            # Every code is in range; "clip" lets take write into uk unbuffered.
+            mask_table.take(codes[t, r0 : r0 + k], axis=0, out=uk, mode="clip")
+            uk &= vk
+            np.subtract(vk, uk, out=wk)
+            vk += uk
+            vk |= wk
+            if guard:
+                vk &= live
+        # Inverted, the bits of each field below its guard count its LCS.
+        vb, ub = v[: r1 - r0], u[: r1 - r0]
+        np.invert(vb, out=vb)
+        for f in range(per_word):
+            np.right_shift(vb, np.uint64(f * width), out=ub)
+            ub &= field
+            np.bitwise_count(ub, out=lcs[: r1 - r0, :, f])
+        # Field f of word j holds left string j * per_word + f.
+        counts = lcs[: r1 - r0].reshape(r1 - r0, -1)[:, : len(lefts)].T
+        total = left_len[:, None] + lens
+        empty = total == 0
+        ratio = np.multiply(counts, 2.0)
+        ratio /= np.maximum(total, 1, out=total)
+        ratio[empty] = 1.0
+        out[np.ix_(rows, order[r0:r1])] = ratio
     return out
 
 

@@ -32,6 +32,14 @@ from joinscout.graph import (
 from joinscout.matching import ColumnMatch, MatchConfig
 from joinscout.validation import ValidationResult
 
+# A well-formed graph file with one fuzzy edge and one alternate.
+_FUZZY_EDGE = """
+{"nodes": [{"db": "d1", "table": "A"}, {"db": "d2", "table": "B"}],
+ "edges": [{"left": {"db": "d1", "table": "A"}, "right": {"db": "d2", "table": "B"},
+            "kind": "fuzzy", "columns": [["k", "k"]], "s": 0.5, "weight": 1.0,
+            "alternates": [{"columns": [["j", "j"]], "s": 0.4}]}]}
+"""
+
 
 class TestEdgeWeight:
     def test_perfect_overlap_costs_nothing(self):
@@ -323,6 +331,19 @@ class TestSerialization:
             '{"nodes": {}, "edges": []}',
             '{"nodes": [], "edges": [{"left": {"db": "a", "table": "T"}}]}',
             '{"nodes": [{"db": "a"}], "edges": []}',
+            pytest.param(
+                '{"nodes": [{"db": "a", "table": "T"}, {"db": "a", "table": "T"}], "edges": []}',
+                id="node-listed-twice",
+            ),
+            # A fuzzy edge, or an alternate of one, joins on one column pair.
+            pytest.param(
+                _FUZZY_EDGE.replace('[["k", "k"]]', '[["k", "k"], ["m", "m"]]', 1),
+                id="fuzzy-edge-with-two-pairs",
+            ),
+            pytest.param(
+                _FUZZY_EDGE.replace('[["j", "j"]]', '[["j", "j"], ["m", "m"]]', 1),
+                id="fuzzy-alternate-with-two-pairs",
+            ),
         ],
     )
     def test_malformed_rejected(self, text):

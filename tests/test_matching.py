@@ -46,6 +46,11 @@ class TestMatchConfig:
             {"row_threshold": -0.2},
             {"epsilon": 0.0},
             {"sample_cap": 0},
+            {"sample_cap": 2.5},
+            {"seed": 1.0},
+            {"sample_cap": True},
+            {"row_threshold": True},
+            {"column_threshold": "0.6"},
         ],
     )
     def test_rejects_bad_values(self, kw):

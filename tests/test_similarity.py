@@ -259,6 +259,15 @@ class TestSimilarityMatrix:
         assert math.ceil(len(lefts) / per_word) * len(rights) > similarity._LANE_BLOCK
         assert_matches_dp(lefts, rights)
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_more_packed_words_than_the_block_size(self, monkeypatch, block):
+        # Above _LANE_BLOCK words, each block of right strings is one string.
+        monkeypatch.setattr(similarity, "_LANE_BLOCK", block)
+        lefts = [("abcab cabba" * 2)[: n % 22] for n in range(40)] + ["a" * 40, "b" * 64]
+        rights = ["", "a", "cab abba", "abcab cabba abcab", "c" * 25, "a" * 70]
+        assert_matches_dp(lefts, rights)
+        assert_matches_dp(lefts[:30], rights)
+
     @given(
         st.lists(st.text(alphabet="abc ", max_size=21), max_size=40),
         st.lists(st.text(alphabet="abcd ", max_size=24), max_size=6),
