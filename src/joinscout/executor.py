@@ -20,11 +20,11 @@ from operator import itemgetter
 from pathlib import Path
 from typing import IO
 
-from .catalog import Catalog, TableRef
+from .catalog import Catalog, Table, TableRef
 from .errors import UnknownTableError
 from .graph import EdgeKind, JoinPath
 from .matching import MatchConfig
-from .similarity import similarity_matrix, sorted_token_form
+from .similarity import token_sort_matrix
 
 __all__ = ["ResultTable", "execute_path", "write_csv"]
 
@@ -63,8 +63,8 @@ def execute_path(
 ) -> ResultTable:
     """Run the joins along ``path`` and return the combined table.
 
-    Raises :class:`UnknownTableError` if the path mentions tables the
-    catalog does not have.
+    Raises :class:`UnknownTableError` if the path mentions tables or join
+    columns the catalog does not have.
     """
     cfg = config or MatchConfig()
     if not path.tables:
@@ -85,8 +85,8 @@ def execute_path(
         pairs = edge.columns_from(left_ref)
         left_table = catalog.table(left_ref)
         right_table = catalog.table(right_ref)
-        left_key = itemgetter(*(left_table.column_names.index(l) for l, _ in pairs))
-        right_pos = [right_table.column_names.index(r) for _, r in pairs]
+        left_key = itemgetter(*_positions(left_table, left_ref, [l for l, _ in pairs]))
+        right_pos = _positions(right_table, right_ref, [r for _, r in pairs])
         right_key = itemgetter(*right_pos)
         # Each right row that can match, with the cells it appends to an
         # output row, projected once however many rows it joins.
@@ -111,10 +111,7 @@ def execute_path(
             right_values = sorted(first_row_of)
             left_values = [v for v in dict.fromkeys(map(left_key, last_rows)) if v]
             if right_values:
-                sims = similarity_matrix(
-                    [sorted_token_form(v) for v in left_values],
-                    [sorted_token_form(v) for v in right_values],
-                )
+                sims = token_sort_matrix(left_values, right_values)
                 # argmax takes the first maximum: the smallest tied right value.
                 best = zip(sims.argmax(axis=1).tolist(), sims.max(axis=1).tolist())
                 for lval, (ridx, score) in zip(left_values, best):
@@ -136,6 +133,15 @@ def execute_path(
         last_rows = new_last
 
     return ResultTable(columns=columns, rows=acc_rows, fuzzy_score_columns=score_columns)
+
+
+def _positions(table: Table, ref: TableRef, names: list[str]) -> list[int]:
+    """The position of each of ``names`` among the table's columns."""
+    known = table.column_names
+    for name in names:
+        if name not in known:
+            raise UnknownTableError(f"no column {name!r} in table {ref}")
+    return [known.index(name) for name in names]
 
 
 def write_csv(

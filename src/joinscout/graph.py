@@ -400,13 +400,19 @@ def graph_from_json(text: str) -> JoinGraph:
             raise GraphFormatError(
                 f"{where}: 'weight' must be finite and non-negative, got {weight}"
             )
+        s = _fraction(raw.get("s"), where, "s")
+        # A positive epsilon only lowers edge_weight below -log2(s).
+        if s and weight > -math.log2(s):
+            raise GraphFormatError(
+                f"{where}: 'weight' {weight} is above -log2(s) = {-math.log2(s)} for s {s}"
+            )
         edges.append(
             JoinEdge(
                 left=left,
                 right=right,
                 kind=kind,
                 join_columns=_columns_from_json(raw.get("columns"), where, kind),
-                overlap_s=_fraction(raw.get("s"), where, "s"),  # type: ignore[arg-type]
+                overlap_s=s,  # type: ignore[arg-type]
                 weight=weight,  # type: ignore[arg-type]
                 value_score=_fraction(raw.get("value_score"), where, "value_score", optional=True),
                 alternates=tuple(alternates),

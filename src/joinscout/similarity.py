@@ -46,6 +46,7 @@ __all__ = [
     "sorted_token_form",
     "token_overlap",
     "token_set",
+    "token_sort_matrix",
     "token_sort_ratio",
     "trigram_embed",
 ]
@@ -294,6 +295,13 @@ def token_sort_ratio(a: str, b: str) -> float:
     Word order does not matter: ``"John Smith"`` vs ``"Smith John"`` is 1.0.
     """
     return indel_ratio(sorted_token_form(a), sorted_token_form(b))
+
+
+def token_sort_matrix(lefts: Sequence[str], rights: Sequence[str]) -> np.ndarray:
+    """``token_sort_ratio`` of every left × right pair, as an ``(L, R)`` array."""
+    return similarity_matrix(
+        [sorted_token_form(v) for v in lefts], [sorted_token_form(v) for v in rights]
+    )
 
 
 # Most entries each memo in this module holds: far more distinct column

@@ -13,8 +13,7 @@ survive a look at the data:
 
 Columns are compared on distinct values only; large columns are first cut
 down to a seeded deterministic sample of ``sample_cap`` values.  ``validate``
-builds one similarity matrix per candidate, over the distinct sorted-token
-forms of each side, and reads both scores from it.
+builds one ``token_sort_matrix`` per candidate and reads both scores from it.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 from .catalog import Catalog
 from .errors import EmptyColumnError
 from .matching import ColumnMatch, MatchConfig
-from .similarity import similarity_matrix, sorted_token_form
+from .similarity import token_sort_matrix
 
 __all__ = [
     "ValidationResult",
@@ -64,8 +63,7 @@ def value_score(left_values: Sequence[str], right_values: Sequence[str]) -> floa
     rights = [v for v in right_values if v]
     if not lefts or not rights:
         raise EmptyColumnError("value_score needs non-empty values on both sides")
-    sims, left_of, _ = _form_matrix(lefts, rights)
-    return _value_score(sims, left_of)
+    return _value_score(token_sort_matrix(lefts, rights))
 
 
 def fuzzy_jaccard(
@@ -85,61 +83,38 @@ def fuzzy_jaccard(
     rights = sorted({v for v in right_values if v})
     if not lefts or not rights:
         raise EmptyColumnError("fuzzy_jaccard needs non-empty values on both sides")
-    return _fuzzy_jaccard(*_form_matrix(lefts, rights), row_threshold)
+    return _fuzzy_jaccard(token_sort_matrix(lefts, rights), row_threshold)
 
 
-def _form_matrix(
-    lefts: Sequence[str], rights: Sequence[str]
-) -> tuple[np.ndarray, list[int], list[int]]:
-    """``similarity_matrix`` over the distinct sorted-token forms of each
-    side, with each left value's row and each right value's column in it."""
-    left_forms, left_of = _forms(lefts)
-    right_forms, right_of = _forms(rights)
-    return similarity_matrix(left_forms, right_forms), left_of, right_of
+def _value_score(sims: np.ndarray) -> float:
+    """Mean of the row maxima of ``sims``, summed in row order."""
+    return sum(sims.max(axis=1).tolist()) / len(sims)
 
 
-def _forms(values: Sequence[str]) -> tuple[list[str], list[int]]:
-    """The distinct sorted-token forms of ``values``, sorted, and the index
-    of each value's form in that list."""
-    forms = [sorted_token_form(v) for v in values]
-    distinct = sorted(set(forms))
-    index = {form: i for i, form in enumerate(distinct)}
-    return distinct, [index[form] for form in forms]
-
-
-def _value_score(sims: np.ndarray, left_of: list[int]) -> float:
-    """Mean over left values of their form's row maximum in ``sims``."""
-    best = sims.max(axis=1).tolist()
-    return sum(best[i] for i in left_of) / len(left_of)
-
-
-def _fuzzy_jaccard(
-    sims: np.ndarray, left_of: list[int], right_of: list[int], row_threshold: float
-) -> float:
+def _fuzzy_jaccard(sims: np.ndarray, row_threshold: float) -> float:
     """Greedy fuzzy Jaccard of two sorted lists of distinct values.
 
-    ``sims`` is the matrix of their distinct forms; ``left_of`` and
-    ``right_of`` map each value, in order, to its form's row and column.
-    Cells at or above the threshold are taken by descending similarity,
-    ties in (left, right) order.  The greedy loop takes a cell unless an
-    earlier cell shares its left or its right value, so the matching
-    depends only on the order of cells that share a value, and on those the
-    (left, right) order and the order of the sorted value pair agree.
+    ``sims`` is their ``token_sort_matrix``.  Cells at or above the
+    threshold are taken by descending similarity, ties in (left, right)
+    order.  The greedy loop takes a cell unless an earlier cell shares its
+    left or its right value, so the matching depends only on the order of
+    cells that share a value, and on those the (left, right) order and the
+    order of the sorted value pair agree.
     """
-    cells = sims[np.ix_(left_of, right_of)]
     # nonzero lists cells in (left, right) order; a stable sort keeps it.
-    rows, cols = (cells >= row_threshold).nonzero()
-    order = np.argsort(-cells[rows, cols], kind="stable")
+    rows, cols = (sims >= row_threshold).nonzero()
+    order = np.argsort(-sims[rows, cols], kind="stable")
 
-    used_left = [False] * len(left_of)
-    used_right = [False] * len(right_of)
+    n_left, n_right = sims.shape
+    used_left = [False] * n_left
+    used_right = [False] * n_right
     matched = 0
     for i, j in zip(rows[order].tolist(), cols[order].tolist()):
         if used_left[i] or used_right[j]:
             continue
         used_left[i] = used_right[j] = True
         matched += 1
-    return matched / (len(left_of) + len(right_of) - matched)
+    return matched / (n_left + n_right - matched)
 
 
 def sample_distinct(values: Iterable[str], cap: int, seed_key: str) -> list[str]:
@@ -175,8 +150,8 @@ def validate(
     if not left_sample or not right_sample:
         log.debug("rejected %s ~ %s: empty side", match.left, match.right)
         return None
-    sims, left_of, right_of = _form_matrix(left_sample, right_sample)
-    score = _value_score(sims, left_of)
+    sims = token_sort_matrix(left_sample, right_sample)
+    score = _value_score(sims)
     if score < cfg.row_threshold:
         log.debug(
             "rejected %s ~ %s: value score %.3f < %.3f",
@@ -186,7 +161,7 @@ def validate(
             cfg.row_threshold,
         )
         return None
-    s = _fuzzy_jaccard(sims, left_of, right_of, cfg.row_threshold)
+    s = _fuzzy_jaccard(sims, cfg.row_threshold)
     return ValidationResult(
         match=match,
         value_score=score,

@@ -238,6 +238,17 @@ class TestJoin:
         assert code == EXIT_NO_PATH
         assert "no join path" in capsys.readouterr().err
 
+    def test_join_column_missing_from_catalog(self, workspace, tmp_path, capsys):
+        graph = tmp_path / "bad_column.json"
+        text = workspace["graph"].read_text(encoding="utf-8")
+        assert '"clinic_name"' in text
+        graph.write_text(text.replace('"clinic_name"', '"nope"'), encoding="utf-8")
+        code = main(
+            ["join", str(graph), str(workspace["manifest"]), "Doctors", "Hospital_Survey"]
+        )
+        assert code == EXIT_DATA
+        assert "'nope'" in capsys.readouterr().err
+
 
 class TestGraphCommand:
     def test_dot_to_stdout(self, workspace, capsys):

@@ -261,6 +261,17 @@ class TestErrors:
         with pytest.raises(UnknownTableError):
             execute_path(path, memory_catalog)
 
+    @pytest.mark.parametrize("kind", [EdgeKind.FK, EdgeKind.FUZZY])
+    @pytest.mark.parametrize(
+        "pair, table",
+        [(("ghost", "user_id"), "alpha.Orders"), (("user_id", "ghost"), "alpha.Users")],
+        ids=["left", "right"],
+    )
+    def test_unknown_join_column(self, memory_catalog, kind, pair, table):
+        path = make_path([ORDERS, USERS], [edge(ORDERS, USERS, kind, [pair])])
+        with pytest.raises(UnknownTableError, match=f"'ghost' in table {table}"):
+            execute_path(path, memory_catalog)
+
     def test_empty_path(self, memory_catalog):
         path = JoinPath(tables=(), edges=(), total_weight=0.0, retained_percentage=1.0)
         with pytest.raises(UnknownTableError):

@@ -344,11 +344,21 @@ class TestSerialization:
                 _FUZZY_EDGE.replace('[["j", "j"]]', '[["j", "j"], ["m", "m"]]', 1),
                 id="fuzzy-alternate-with-two-pairs",
             ),
+            # No positive epsilon gives s = 0.99 a weight above -log2(0.99) = 0.0145.
+            pytest.param(
+                _FUZZY_EDGE.replace('"s": 0.5, "weight": 1.0', '"s": 0.99, "weight": 0.415', 1),
+                id="weight-above-minus-log2-s",
+            ),
         ],
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(GraphFormatError):
             graph_from_json(text)
+
+    @pytest.mark.parametrize("s, weight", [(0.5, 1.0), (1.0, 0.0), (0.0, 19.93)])
+    def test_weight_at_most_minus_log2_s_loads(self, s, weight):
+        text = _FUZZY_EDGE.replace('"s": 0.5, "weight": 1.0', f'"s": {s}, "weight": {weight}', 1)
+        assert graph_from_json(text).edges[0].weight == weight
 
     def test_unknown_kind_rejected(self, memory_catalog):
         doc = graph_to_json(self._graph(memory_catalog)).replace('"fk"', '"magic"')

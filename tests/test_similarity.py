@@ -31,6 +31,7 @@ from joinscout.similarity import (
     sorted_token_form,
     token_overlap,
     token_set,
+    token_sort_matrix,
     token_sort_ratio,
     trigram_embed,
 )
@@ -301,6 +302,26 @@ class TestTokenSortRatio:
         shuffled = list(tokens)
         rng.shuffle(shuffled)
         assert token_sort_ratio(" ".join(tokens), " ".join(shuffled)) == 1.0
+
+
+# Raw values that share a sorted-token form ("b a", "A, B"), whose form is
+# empty ("--"), or whose form is over 64 characters, among random ones.
+_TOKEN_VALUES = st.one_of(
+    st.sampled_from(["b a", "A, B", "a b", "--", "", "x" * 70, "b " * 40, "Ab " * 30]),
+    st.text(alphabet="abAB ,-", max_size=20),
+    st.text(alphabet="ab c", min_size=60, max_size=90),
+)
+
+
+class TestTokenSortMatrix:
+    @given(st.lists(_TOKEN_VALUES, max_size=8), st.lists(_TOKEN_VALUES, max_size=8))
+    @settings(max_examples=200)
+    def test_matches_token_sort_ratio(self, lefts, rights):
+        got = token_sort_matrix(lefts, rights)
+        assert got.shape == (len(lefts), len(rights))
+        for i, left in enumerate(lefts):
+            for j, right in enumerate(rights):
+                assert got[i, j] == token_sort_ratio(left, right)
 
 
 class TestTokenOverlap:
