@@ -24,7 +24,7 @@ from . import __version__
 from .catalog import TableRef, load_catalog
 from .errors import JoinScoutError, UnknownTableError
 from .executor import execute_path, write_csv
-from .fuzzgen import generate_catalog
+from .fuzzgen import MAX_SCALE, generate_catalog
 from .graph import (
     JoinGraph,
     JoinPath,
@@ -54,13 +54,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _non_negative_int(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+def _non_negative_int(text: str) -> int:
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
+def _scale(text: str) -> int:
+    value = _integer(text)
+    if not 1 <= value <= MAX_SCALE:
+        raise argparse.ArgumentTypeError(f"must be 1 to {MAX_SCALE}, got {value}")
     return value
 
 
@@ -72,7 +83,9 @@ def build_parser() -> _Parser:
     p_gen = sub.add_parser("generate", help="write a synthetic benchmark catalog")
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.add_argument("--seed", type=int, default=42)
-    p_gen.add_argument("--scale", type=int, default=1, help="fact-table size multiplier")
+    p_gen.add_argument(
+        "--scale", type=_scale, default=1, help=f"fact-table size multiplier, 1 to {MAX_SCALE}"
+    )
 
     p_disc = sub.add_parser("discover", help="find joinable columns, write the join graph")
     p_disc.add_argument("manifest", help="catalog manifest.json")

@@ -6,6 +6,16 @@ hops match each left value to its single best right value by token-sort
 similarity, keep matches at or above the row threshold, and append a
 ``_fuzzy_score_<hop>`` column recording the match strength.
 
+A fuzzy hop runs exact first, through
+:func:`~joinscout.similarity.token_sort_best`.  A left value whose
+sorted-token form equals the form of a right value is matched to the
+smallest such right value with score 1.0 by a hash lookup, and only the
+other left values go through the similarity kernel.  The output bytes are
+those of scoring every pair: a score is 1.0 exactly when the two forms are
+equal, so the first maximum of the full row is that same right value;
+``1.0`` prints as ``1.000``; and a row threshold is at most 1, so an exact
+match always passes it.
+
 Everything stays text, so a result round-trips through CSV unchanged.
 Output row order is deterministic: accumulated rows keep their order and
 multiple foreign-key matches expand in right-table row order.
@@ -24,7 +34,7 @@ from .catalog import Catalog, Table, TableRef
 from .errors import UnknownTableError
 from .graph import EdgeKind, JoinPath
 from .matching import MatchConfig
-from .similarity import token_sort_matrix
+from .similarity import token_sort_best
 
 __all__ = ["ResultTable", "execute_path", "write_csv"]
 
@@ -64,11 +74,13 @@ def execute_path(
     """Run the joins along ``path`` and return the combined table.
 
     Raises :class:`UnknownTableError` if the path mentions tables or join
-    columns the catalog does not have.
+    columns the catalog does not have, and :class:`ValueError`, before any
+    join, if its edges do not link its tables in order.
     """
     cfg = config or MatchConfig()
     if not path.tables:
         raise UnknownTableError("path has no tables")
+    _check_hops(path)
     start_ref = path.tables[0]
     start = catalog.table(start_ref)
     columns: list[tuple[TableRef, str]] = [(start_ref, n) for n in start.column_names]
@@ -95,12 +107,18 @@ def execute_path(
         if edge.kind is EdgeKind.FK:
             dropped = set(right_pos)
             keep = [i for i in range(len(right_table.column_names)) if i not in dropped]
+            # itemgetter of one index returns a bare value, and of none it
+            # raises, so those two take a slice, which returns a tuple.
+            if len(keep) > 1:
+                project = itemgetter(*keep)
+            else:
+                project = itemgetter(slice(keep[0], keep[0] + 1) if keep else slice(0))
             composite = len(right_pos) > 1
             for rrow in right_table.rows():
                 key = right_key(rrow)
                 # No indexed key has a blank part, so neither can a match.
                 if all(key) if composite else key:
-                    matches.setdefault(key, []).append((tuple(rrow[i] for i in keep), rrow))
+                    matches.setdefault(key, []).append((project(rrow), rrow))
             columns.extend((right_ref, right_table.column_names[i]) for i in keep)
         else:
             first_row_of: dict[str, tuple[str, ...]] = {}
@@ -111,10 +129,9 @@ def execute_path(
             right_values = sorted(first_row_of)
             left_values = [v for v in dict.fromkeys(map(left_key, last_rows)) if v]
             if right_values:
-                sims = token_sort_matrix(left_values, right_values)
-                # argmax takes the first maximum: the smallest tied right value.
-                best = zip(sims.argmax(axis=1).tolist(), sims.max(axis=1).tolist())
-                for lval, (ridx, score) in zip(left_values, best):
+                # The first best right value is the smallest tied one.
+                best = token_sort_best(left_values, right_values)
+                for lval, ridx, score in zip(left_values, *best):
                     if score >= cfg.row_threshold:
                         rrow = first_row_of[right_values[ridx]]
                         matches[lval] = [(rrow + (f"{score:.3f}",), rrow)]
@@ -133,6 +150,21 @@ def execute_path(
         last_rows = new_last
 
     return ResultTable(columns=columns, rows=acc_rows, fuzzy_score_columns=score_columns)
+
+
+def _check_hops(path: JoinPath) -> None:
+    """Raise ``ValueError`` unless edge ``i`` joins tables ``i`` and ``i + 1``."""
+    if len(path.tables) != len(path.edges) + 1:
+        raise ValueError(
+            f"a path of {len(path.edges)} edge(s) needs {len(path.edges) + 1} tables, "
+            f"got {len(path.tables)}"
+        )
+    for hop, edge in enumerate(path.edges, start=1):
+        left, right = path.tables[hop - 1], path.tables[hop]
+        if (left, right) not in ((edge.left, edge.right), (edge.right, edge.left)):
+            raise ValueError(
+                f"edge {hop} joins {edge.left} -- {edge.right}, not {left} -> {right}"
+            )
 
 
 def _positions(table: Table, ref: TableRef, names: list[str]) -> list[int]:

@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 GROUND_TRUTH_FILE = "ground_truth.json"
+# Largest ``scale`` whose patients and citizens the person-name pools cover.
+MAX_SCALE = 13
 
 
 @dataclass(frozen=True)
@@ -227,8 +229,8 @@ def generate_catalog(
     """
     if scale < 1:
         raise ValueError("scale must be >= 1")
-    if scale > 13:
-        raise ValueError("scale > 13 would exhaust the person-name pools")
+    if scale > MAX_SCALE:
+        raise ValueError(f"scale > {MAX_SCALE} would exhaust the person-name pools")
     cfg = fuzz or FuzzConfig()
     rng = random.Random(seed)
     log = _FuzzLog()

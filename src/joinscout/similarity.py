@@ -46,6 +46,7 @@ __all__ = [
     "sorted_token_form",
     "token_overlap",
     "token_set",
+    "token_sort_best",
     "token_sort_matrix",
     "token_sort_ratio",
     "trigram_embed",
@@ -302,6 +303,44 @@ def token_sort_matrix(lefts: Sequence[str], rights: Sequence[str]) -> np.ndarray
     return similarity_matrix(
         [sorted_token_form(v) for v in lefts], [sorted_token_form(v) for v in rights]
     )
+
+
+def token_sort_best(lefts: Sequence[str], rights: Sequence[str]) -> tuple[list[int], list[float]]:
+    """For each left value, the index of its first best right value and that
+    score: the row-wise ``argmax`` and ``max`` of :func:`token_sort_matrix`.
+
+    It runs exact first (Wang, Li & Feng, "Fast-Join", ICDE 2011).  A pair
+    scores 1.0 exactly when its two sorted-token forms are equal, because
+    ``2 * LCS == |a| + |b|`` only for equal strings; two empty forms are
+    equal too.  So a left value whose form some right value has takes the
+    smallest such index and 1.0 from a hash map, and only the other left
+    values go through :func:`similarity_matrix`, against every right form.
+    ``rights`` must not be empty.
+    """
+    if not rights:
+        raise ValueError("token_sort_best needs at least one right value")
+    right_forms = [sorted_token_form(v) for v in rights]
+    first_index: dict[str, int] = {}
+    for j, form in enumerate(right_forms):
+        first_index.setdefault(form, j)
+    best = [0] * len(lefts)
+    scores = [1.0] * len(lefts)
+    rest: list[int] = []
+    rest_forms: list[str] = []
+    for i, value in enumerate(lefts):
+        form = sorted_token_form(value)
+        j = first_index.get(form)
+        if j is None:
+            rest.append(i)
+            rest_forms.append(form)
+        else:
+            best[i] = j
+    if rest:
+        sims = similarity_matrix(rest_forms, right_forms)
+        for i, j, score in zip(rest, sims.argmax(axis=1).tolist(), sims.max(axis=1).tolist()):
+            best[i] = j
+            scores[i] = score
+    return best, scores
 
 
 # Most entries each memo in this module holds: far more distinct column

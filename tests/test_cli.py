@@ -39,10 +39,11 @@ class TestGenerate:
         assert (tmp_path / "cat" / "manifest.json").is_file()
         assert (tmp_path / "cat" / "ground_truth.json").is_file()
 
-    def test_bad_scale_is_a_data_error(self, tmp_path, capsys):
+    def test_bad_scale_is_a_usage_error(self, tmp_path, capsys):
         code = main(["generate", "--out", str(tmp_path / "cat"), "--scale", "99"])
-        assert code == EXIT_DATA
-        assert "error" in capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "argument --scale: must be 1 to 13, got 99" in capsys.readouterr().err
+        assert not (tmp_path / "cat").exists()
 
 
 class TestDiscover:
@@ -276,6 +277,9 @@ class TestUsageErrors:
             ["path", "g.json", "OnlyOne"],
             ["join", "g.json", "m.json", "A", "B", "--limit", "-3"],
             ["join", "g.json", "m.json", "A", "B", "--limit", "many"],
+            ["generate", "--out", "d", "--scale", "0"],
+            ["generate", "--out", "d", "--scale", "-1"],
+            ["generate", "--out", "d", "--scale", "14"],
         ],
     )
     def test_exit_one(self, argv, capsys):

@@ -11,7 +11,10 @@ import io
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from joinscout import similarity
 from joinscout.catalog import Catalog, Database, ForeignKey, TableRef
 from joinscout.errors import UnknownTableError
 from joinscout.executor import ResultTable, execute_path, write_csv
@@ -277,6 +280,28 @@ class TestErrors:
         with pytest.raises(UnknownTableError):
             execute_path(path, memory_catalog)
 
+    def test_edge_of_another_hop_is_rejected(self):
+        # R1 and R2 both have a "k", so joining L -> R2 on the L -- R1 edge
+        # would find rows.
+        left = make_table("L", {"k": ["1"]})
+        r1 = make_table("R1", {"k": ["1"], "a": ["x"]})
+        r2 = make_table("R2", {"k": ["1"], "b": ["y"]})
+        cat = Catalog(databases=(Database("d", (left, r1, r2)),))
+        lr, r1r, r2r = TableRef("d", "L"), TableRef("d", "R1"), TableRef("d", "R2")
+        path = make_path([lr, r2r], [edge(lr, r1r, EdgeKind.FK, [("k", "k")])])
+        with pytest.raises(ValueError, match=r"edge 1 joins d\.L -- d\.R1, not d\.L -> d\.R2"):
+            execute_path(path, cat)
+
+    def test_trailing_table_is_rejected(self, memory_catalog):
+        path = make_path([ORDERS, USERS, PEOPLE], [FK_EDGE])
+        with pytest.raises(ValueError, match="1 edge"):
+            execute_path(path, memory_catalog)
+
+    def test_too_few_tables_are_rejected(self, memory_catalog):
+        path = make_path([ORDERS, USERS], [FK_EDGE, FUZZY_EDGE])
+        with pytest.raises(ValueError, match="2 edge"):
+            execute_path(path, memory_catalog)
+
 
 class TestWriteCsv:
     @pytest.fixture
@@ -402,4 +427,73 @@ class TestBruteForceOracle:
         path = make_path([lr, rr], [edge(lr, rr, EdgeKind.FK, [("k1", "k1"), ("k2", "k2")])])
         result = execute_path(path, cat)
         assert result.rows == [("a", "1", "q", "ok")]
+        assert result == reference_join(path, cat, MatchConfig().row_threshold)
+
+
+# Raw values that share a sorted-token form ("b a", "A, B"), whose form is
+# empty ("--"), or whose form is over 64 characters, among random ones.
+_VALUES = st.one_of(
+    st.sampled_from(["b a", "A, B", "a b", "--", "", "x" * 70, "b " * 40, "Ab " * 30]),
+    st.text(alphabet="abAB ,-", max_size=12),
+    st.text(alphabet="ab c", min_size=60, max_size=80),
+)
+_KEYS = st.sampled_from(["", "1", "2", "3"])
+LEFT, FUZZY_RIGHT, FK_RIGHT = TableRef("d", "L"), TableRef("d", "R"), TableRef("d", "F")
+LEFT_TO_FUZZY = edge(LEFT, FUZZY_RIGHT, EdgeKind.FUZZY, [("name", "label")])
+LEFT_TO_FK = edge(LEFT, FK_RIGHT, EdgeKind.FK, [("k", "k")])
+
+
+@st.composite
+def small_catalogs(draw):
+    """``L(k, name)``, ``R(label, rid)`` and ``F(k, extra...)``: L meets R
+    on a fuzzy edge and F on a foreign key, with 0 to 3 extra F columns."""
+
+    def table(name, columns):
+        rows = draw(st.integers(0, 5))
+        return make_table(name, {col: draw(st.lists(values, min_size=rows, max_size=rows))
+                                 for col, values in columns.items()})
+
+    extras = draw(st.integers(0, 3))
+    return Catalog(databases=(Database("d", (
+        table("L", {"k": _KEYS, "name": _VALUES}),
+        table("R", {"label": _VALUES, "rid": _KEYS}),
+        table("F", {"k": _KEYS, **{f"extra{i}": _VALUES for i in range(extras)}}),
+    )),))
+
+
+# Both directions of each edge, alone and after the other edge.  A hop
+# into F keeps F's extra columns; a hop into L keeps its one name column.
+_PATHS = [
+    make_path([LEFT, FUZZY_RIGHT], [LEFT_TO_FUZZY]),
+    make_path([FUZZY_RIGHT, LEFT], [LEFT_TO_FUZZY]),
+    make_path([LEFT, FK_RIGHT], [LEFT_TO_FK]),
+    make_path([FK_RIGHT, LEFT], [LEFT_TO_FK]),
+    make_path([FK_RIGHT, LEFT, FUZZY_RIGHT], [LEFT_TO_FK, LEFT_TO_FUZZY]),
+    make_path([FUZZY_RIGHT, LEFT, FK_RIGHT], [LEFT_TO_FUZZY, LEFT_TO_FK]),
+]
+
+
+class TestAgainstReferenceJoin:
+    @given(small_catalogs(), st.sampled_from(_PATHS), st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=300)
+    def test_random_small_catalogs(self, catalog, path, threshold):
+        got = execute_path(path, catalog, MatchConfig(row_threshold=threshold))
+        assert got == reference_join(path, catalog, threshold)
+
+    def test_kernel_sees_only_left_values_without_an_exact_partner(self, monkeypatch):
+        seen = []
+        kernel = similarity.similarity_matrix
+
+        def spy(left_forms, right_forms):
+            seen.append(list(left_forms))
+            return kernel(left_forms, right_forms)
+
+        monkeypatch.setattr(similarity, "similarity_matrix", spy)
+        left = make_table("L", {"name": ["b a", "Carol White", "A, B", "zed", "--"]})
+        right = make_table("R", {"label": ["a b", "Carol Whyte", "--", "zed q"]})
+        cat = Catalog(databases=(Database("d", (left, right)),))
+        lr, rr = TableRef("d", "L"), TableRef("d", "R")
+        path = make_path([lr, rr], [edge(lr, rr, EdgeKind.FUZZY, [("name", "label")])])
+        result = execute_path(path, cat)
+        assert seen == [["carol white", "zed"]]
         assert result == reference_join(path, cat, MatchConfig().row_threshold)

@@ -31,6 +31,7 @@ from joinscout.similarity import (
     sorted_token_form,
     token_overlap,
     token_set,
+    token_sort_best,
     token_sort_matrix,
     token_sort_ratio,
     trigram_embed,
@@ -322,6 +323,27 @@ class TestTokenSortMatrix:
         for i, left in enumerate(lefts):
             for j, right in enumerate(rights):
                 assert got[i, j] == token_sort_ratio(left, right)
+
+
+class TestTokenSortBest:
+    @given(st.lists(_TOKEN_VALUES, max_size=8), st.lists(_TOKEN_VALUES, min_size=1, max_size=8))
+    @settings(max_examples=200)
+    def test_matches_token_sort_matrix_argmax_and_max(self, lefts, rights):
+        sims = token_sort_matrix(lefts, rights)
+        assert token_sort_best(lefts, rights) == (
+            sims.argmax(axis=1).tolist(),
+            sims.max(axis=1).tolist(),
+        )
+
+    def test_exact_forms_take_the_first_right_index(self, monkeypatch):
+        # Every left form has a right partner, so the kernel never runs.
+        monkeypatch.setattr(similarity, "similarity_matrix", None)
+        best = token_sort_best(["b a", "--", "A, B"], ["x", "a b", "", "B A"])
+        assert best == ([1, 2, 1], [1.0, 1.0, 1.0])
+
+    def test_no_right_values(self):
+        with pytest.raises(ValueError, match="at least one right value"):
+            token_sort_best(["a"], [])
 
 
 class TestTokenOverlap:
