@@ -4,18 +4,11 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
 
 from joinscout.catalog import Catalog, Column, Database, ForeignKey, Table
-
-# HYPOTHESIS_PROFILE=ci makes a failing property print a @reproduce_failure
-# blob that replays the failing example locally.
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def write_catalog_files(root: Path, layout: dict) -> Path:
