@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -80,9 +80,6 @@ class MatchConfig:
             raise ConfigError("epsilon must be positive")
         if self.sample_cap <= 0:
             raise ConfigError("sample_cap must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def load_config(path: str | Path) -> MatchConfig:

@@ -49,7 +49,6 @@ __all__ = [
     "token_sort_best",
     "token_sort_matrix",
     "token_sort_ratio",
-    "trigram_embed",
 ]
 
 _NON_ALNUM_RUN = re.compile(r"[^0-9a-z]+")
@@ -445,11 +444,6 @@ class TrigramProvider:
 
 
 _DEFAULT_PROVIDER = TrigramProvider()
-
-
-def trigram_embed(text: str) -> np.ndarray:
-    """Embed ``text`` with the default :class:`TrigramProvider` (read-only)."""
-    return _DEFAULT_PROVIDER.embed(text)
 
 
 def semantic_sim(a: str, b: str, provider: SemanticProvider | None = None) -> float:

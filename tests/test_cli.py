@@ -216,6 +216,20 @@ class TestJoin:
         rows = list(csv.reader(io.StringIO(captured.out)))
         assert len(rows) == 6  # header + 5
 
+    @pytest.mark.parametrize("limit", [[], ["--limit", "2"]], ids=["all", "limit2"])
+    def test_join_to_stdout_matches_file(self, workspace, tmp_path, capsys, limit):
+        out_csv = tmp_path / "joined.csv"
+        ends = [str(workspace["graph"]), str(workspace["manifest"]), "Doctors", "Hospital_Survey"]
+        assert main(["join", *ends, "--out", str(out_csv), *limit]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["join", *ends, "--out", "-", *limit]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert stdout.encode("utf-8") == out_csv.read_bytes()
+        if limit:
+            assert stdout.count("\r\n") == 3  # header + 2
+        else:
+            assert '"' in stdout  # some rows hold a comma and take csv.writer
+
     def test_source_equals_target_copies_the_table(self, workspace, tmp_path):
         out_csv = tmp_path / "copy.csv"
         code = main(

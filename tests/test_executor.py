@@ -2,6 +2,8 @@
 
 ``reference_join`` is a brute-force oracle written without the similarity
 kernel: nested loops over rows and one ``token_sort_ratio`` per pair.
+``reference_csv`` is the plain ``csv.writer`` over every row that
+``write_csv``'s joined-line path must match byte for byte.
 """
 
 from __future__ import annotations
@@ -9,12 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from joinscout import similarity
+from joinscout import executor, similarity
 from joinscout.catalog import Catalog, Database, ForeignKey, TableRef
 from joinscout.errors import UnknownTableError
 from joinscout.executor import ResultTable, execute_path, write_csv
@@ -303,6 +306,34 @@ class TestErrors:
             execute_path(path, memory_catalog)
 
 
+# Cells that csv.writer quotes (comma, quote, CR, LF), NUL, which it
+# rejects on Python 3.10 and writes bare on 3.11+, and cells it leaves
+# bare although they look awkward (space, é, U+0085, U+2028).
+_CELLS = st.one_of(
+    st.just(""),
+    st.text(alphabet=["a", ",", '"', "\r", "\n", "\x00", " ", "\u00e9", "\u0085", "\u2028"], max_size=4),
+)
+
+
+def reference_csv(result: ResultTable, fh, limit: int | None = None) -> int:
+    """``write_csv`` as it was written before rows were joined in C:
+    ``csv.writer`` over the header and every row."""
+    rows = result.rows if limit is None else result.rows[: max(limit, 0)]
+    writer = csv.writer(fh)
+    writer.writerow(result.header())
+    writer.writerows(rows)
+    return len(rows)
+
+
+def csv_outcome(write, result: ResultTable, limit: int | None = None):
+    """What ``write`` returns and leaves in a buffer, or what it raises."""
+    buf = io.StringIO()
+    try:
+        return write(result, buf, limit), buf.getvalue()
+    except Exception as exc:  # the oracle compares any error
+        return type(exc), str(exc), buf.getvalue()
+
+
 class TestWriteCsv:
     @pytest.fixture
     def result(self, memory_catalog):
@@ -350,6 +381,43 @@ class TestWriteCsv:
         with out.open(newline="", encoding="utf-8") as fh:
             assert list(csv.reader(fh))[1] == ['say "hi"', "one,two"]
 
+    @given(
+        st.lists(st.lists(_CELLS, max_size=4).map(tuple), max_size=8),
+        st.sampled_from([None, -1, 0, 1, 3]),
+        st.sampled_from([1, 2, executor._BLOCK_ROWS]),
+    )
+    @settings(max_examples=500)
+    def test_matches_csv_writer_on_random_rows(self, rows, limit, block_rows):
+        table = ResultTable(columns=[(USERS, "a"), (USERS, "b")], rows=rows)
+        with mock.patch.object(executor, "_BLOCK_ROWS", block_rows):
+            assert csv_outcome(write_csv, table, limit) == csv_outcome(reference_csv, table, limit)
+
+    @pytest.mark.parametrize(
+        "row", [("",), (), ("", ""), ("a", 1), (None, "b"), ("a", "b"), ("a,b", "c")]
+    )
+    def test_matches_csv_writer_on_pinned_rows(self, row):
+        table = ResultTable(columns=[(USERS, "a"), (USERS, "b")], rows=[("x", "y"), row, ("z", "w")])
+        assert csv_outcome(write_csv, table) == csv_outcome(reference_csv, table)
+
+    @pytest.mark.parametrize("block_rows", [1, 2])
+    def test_block_boundaries(self, monkeypatch, block_rows):
+        monkeypatch.setattr(executor, "_BLOCK_ROWS", block_rows)
+        rows = [("a", "b"), ("c,d", "e"), ("f", "g"), ("h", "i"), ("j", "k"), ('"', "l"), ("m", "n")]
+        table = ResultTable(columns=[(USERS, "a"), (USERS, "b")], rows=rows)
+        for limit in (None, 1, 2, 3, 4, 5):
+            assert csv_outcome(write_csv, table, limit) == csv_outcome(reference_csv, table, limit)
+
+    def test_matches_csv_writer_on_every_reachable_pair(self, generated):
+        catalog, cfg, paths = generated
+        quoted = 0
+        for path in paths:
+            result = execute_path(path, catalog, cfg)
+            written, text = csv_outcome(write_csv, result)
+            assert (written, text) == csv_outcome(reference_csv, result)
+            quoted += '"' in text
+        # Some outputs quote a cell, so both paths of the writer are exercised.
+        assert quoted > 0
+
 
 def reference_join(path: JoinPath, catalog: Catalog, threshold: float) -> ResultTable:
     """Brute-force ``execute_path``: a nested-loop equi-join for each FK hop,
@@ -394,19 +462,26 @@ def reference_join(path: JoinPath, catalog: Catalog, threshold: float) -> Result
     return ResultTable(columns, [out for out, _ in rows], score_columns)
 
 
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """A scale-1 seed-0 ``fuzzgen`` catalog and the join path of each of its
+    reachable ordered table pairs, discovered with the default config."""
+    catalog = generate_catalog(tmp_path_factory.mktemp("generated"), seed=0, scale=1)
+    cfg = MatchConfig()
+    scored = (score_pair(l, r, cfg) for l, r in candidate_pairs(catalog))
+    validated = validate_many(filter_candidates(scored, cfg), catalog, cfg)
+    graph = build_graph(catalog, validated, cfg)
+    refs = sorted({e.left for e in graph.edges} | {e.right for e in graph.edges}, key=str)
+    paths = [shortest_path(graph, source, target) for source, target in itertools.permutations(refs, 2)]
+    return catalog, cfg, [path for path in paths if path is not None]
+
+
 class TestBruteForceOracle:
-    def test_every_reachable_pair_of_a_generated_catalog(self, tmp_path):
-        catalog = generate_catalog(tmp_path, seed=0, scale=1)
-        cfg = MatchConfig()
-        scored = (score_pair(l, r, cfg) for l, r in candidate_pairs(catalog))
-        validated = validate_many(filter_candidates(scored, cfg), catalog, cfg)
-        graph = build_graph(catalog, validated, cfg)
-        refs = sorted({e.left for e in graph.edges} | {e.right for e in graph.edges}, key=str)
+    def test_every_reachable_pair_of_a_generated_catalog(self, generated):
+        catalog, cfg, paths = generated
         kinds = set()
-        for source, target in itertools.permutations(refs, 2):
-            path = shortest_path(graph, source, target)
-            if path is None:
-                continue
+        for path in paths:
+            source, target = path.tables[0], path.tables[-1]
             kinds.update(e.kind for e in path.edges)
             got = execute_path(path, catalog, cfg)
             want = reference_join(path, catalog, cfg.row_threshold)

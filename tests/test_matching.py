@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from difflib import SequenceMatcher
 
@@ -61,10 +62,6 @@ class TestMatchConfig:
         cfg = MatchConfig(alpha=1.0, beta=0.0, gamma=0.0)
         assert cfg.alpha == 1.0
 
-    def test_to_dict_round_trips(self):
-        cfg = MatchConfig(column_threshold=0.7)
-        assert MatchConfig(**cfg.to_dict()) == cfg
-
 
 class TestLoadConfig:
     def test_partial_file_keeps_defaults(self, tmp_path):
@@ -77,7 +74,7 @@ class TestLoadConfig:
 
     def test_full_file(self, tmp_path):
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(MatchConfig().to_dict()))
+        p.write_text(json.dumps(dataclasses.asdict(MatchConfig())))
         assert load_config(p) == MatchConfig()
 
     @pytest.mark.parametrize(

@@ -34,7 +34,6 @@ from joinscout.similarity import (
     token_sort_best,
     token_sort_matrix,
     token_sort_ratio,
-    trigram_embed,
 )
 
 
@@ -375,16 +374,16 @@ class TestTrigramProvider:
         assert isinstance(TrigramProvider(), SemanticProvider)
 
     def test_unit_norm(self):
-        vec = trigram_embed("clinic_name")
+        vec = TrigramProvider().embed("clinic_name")
         assert vec.shape == (256,)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_is_zero_vector(self):
-        assert not trigram_embed("").any()
+        assert not TrigramProvider().embed("").any()
 
     def test_deterministic(self):
-        a = trigram_embed("hospital_name")
-        b = trigram_embed("hospital_name")
+        a = TrigramProvider().embed("hospital_name")
+        b = TrigramProvider().embed("hospital_name")
         assert np.array_equal(a, b)
 
     def test_synonyms_canonicalize(self):
@@ -400,8 +399,9 @@ class TestTrigramProvider:
         assert semantic_sim("hospital_name", "clinic_name", plain) < 0.9
 
     def test_cached_vector_equals_fresh_and_is_read_only(self):
-        cached = trigram_embed("hospital_name")
-        assert trigram_embed("hospital_name") is cached
+        prov = TrigramProvider()
+        cached = prov.embed("hospital_name")
+        assert prov.embed("hospital_name") is cached
         assert np.array_equal(cached, TrigramProvider().embed("hospital_name"))
         with pytest.raises(ValueError):
             cached[0] = 1.0
