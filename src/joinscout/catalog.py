@@ -214,10 +214,13 @@ def _read_csv_table(path: Path, expect_columns: list[str], where: str) -> list[l
             )
         ncols = len(expect_columns)
         grid: list[list[str]] = [[] for _ in range(ncols)]
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            # A blank line is no row, as in csv.DictReader; save_catalog never writes one.
+            if not row:
+                continue
             if len(row) > ncols:
                 raise SchemaMismatchError(
-                    f"{where}: {path.name} line {lineno} has {len(row)} cells, expected at most {ncols}"
+                    f"{where}: {path.name} line {reader.line_num} has {len(row)} cells, expected at most {ncols}"
                 )
             row = row + [""] * (ncols - len(row))
             for i, cell in enumerate(row):

@@ -96,6 +96,7 @@ class JoinEdge:
 class JoinGraph:
     nodes: tuple[TableRef, ...]
     edges: tuple[JoinEdge, ...]
+    epsilon: float = MatchConfig.epsilon  # build_graph weighs edges by edge_weight(s, epsilon)
 
     @cached_property
     def node_set(self) -> frozenset[TableRef]:
@@ -128,7 +129,7 @@ class JoinPath:
         return len(self.edges)
 
 
-def edge_weight(s: float, epsilon: float = 1e-6) -> float:
+def edge_weight(s: float, epsilon: float = MatchConfig.epsilon) -> float:
     """Cost of joining across an overlap of strength ``s``.
 
     ``-log2(min(s + epsilon, 1))``, floored at zero.  ``epsilon`` keeps a
@@ -221,7 +222,7 @@ def build_graph(
             )
         )
     edges.sort(key=lambda e: (e.left, e.right, e.kind.value))
-    return JoinGraph(nodes=nodes, edges=tuple(edges))
+    return JoinGraph(nodes=nodes, edges=tuple(edges), epsilon=cfg.epsilon)
 
 
 def shortest_path(graph: JoinGraph, source: TableRef, target: TableRef) -> JoinPath | None:
@@ -235,8 +236,6 @@ def shortest_path(graph: JoinGraph, source: TableRef, target: TableRef) -> JoinP
         raise UnknownTableError(f"unknown table {source}")
     if target not in graph.node_set:
         raise UnknownTableError(f"unknown table {target}")
-    if source == target:
-        return JoinPath(tables=(source,), edges=(), total_weight=0.0, retained_percentage=1.0)
 
     counter = 0
     heap: list[tuple] = [(0.0, 0, (source,), counter, ())]
@@ -276,6 +275,7 @@ def _ref_to_json(ref: TableRef) -> dict:
 def graph_to_json(graph: JoinGraph) -> str:
     """Serialize a graph to the JSON handoff format (stable bytes)."""
     doc = {
+        "epsilon": graph.epsilon,
         "nodes": [_ref_to_json(n) for n in graph.nodes],
         "edges": [
             {
@@ -284,7 +284,6 @@ def graph_to_json(graph: JoinGraph) -> str:
                 "kind": e.kind.value,
                 "columns": [list(pair) for pair in e.join_columns],
                 "s": e.overlap_s,
-                "weight": e.weight,
                 "value_score": e.value_score,
                 "alternates": [
                     {
@@ -329,17 +328,18 @@ def _columns_from_json(raw: object, where: str, kind: EdgeKind) -> tuple[tuple[s
     return tuple(pairs)
 
 
-def _number(raw: object, where: str, optional: bool = False) -> float | None:
+def _number(raw: object, where: str, key: str, optional: bool = False) -> float | None:
     if raw is None and optional:
         return None
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise GraphFormatError(f"{where}: expected a number, got {raw!r}")
-    return float(raw)
+    # graph_from_json parses every JSON number as a float, and true as a bool.
+    if not isinstance(raw, float):
+        raise GraphFormatError(f"{where}: {key!r} must be a number, got {raw!r}")
+    return raw
 
 
 def _fraction(raw: object, where: str, key: str, optional: bool = False) -> float | None:
     # NaN fails both comparisons, so it is rejected with the rest.
-    x = _number(raw, where, optional)
+    x = _number(raw, where, key, optional)
     if x is not None and not 0.0 <= x <= 1.0:
         raise GraphFormatError(f"{where}: {key!r} must be in [0, 1], got {x}")
     return x
@@ -347,8 +347,9 @@ def _fraction(raw: object, where: str, key: str, optional: bool = False) -> floa
 
 def graph_from_json(text: str) -> JoinGraph:
     """Parse a graph from its JSON handoff format."""
+    # A JSON integer past float range becomes inf and fails the range checks.
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"graph file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -357,6 +358,12 @@ def graph_from_json(text: str) -> JoinGraph:
     raw_edges = doc.get("edges")
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
         raise GraphFormatError("graph needs 'nodes' and 'edges' lists")
+    if "epsilon" not in doc:
+        raise GraphFormatError("graph has no 'epsilon'; regenerate it with `joinscout discover`")
+    # Each edge weight is derived from it; NaN fails both comparisons.
+    epsilon = _number(doc["epsilon"], "graph", "epsilon")
+    if not 0.0 < epsilon < math.inf:  # type: ignore[operator]
+        raise GraphFormatError(f"graph: 'epsilon' must be positive and finite, got {epsilon}")
 
     nodes = tuple(_ref_from_json(raw, f"nodes[{i}]") for i, raw in enumerate(raw_nodes))
     node_set = set(nodes)
@@ -394,18 +401,7 @@ def graph_from_json(text: str) -> JoinGraph:
                     ),
                 )
             )
-        # Dijkstra needs non-negative weights; NaN fails both comparisons.
-        weight = _number(raw.get("weight"), where)
-        if not 0.0 <= weight < math.inf:  # type: ignore[operator]
-            raise GraphFormatError(
-                f"{where}: 'weight' must be finite and non-negative, got {weight}"
-            )
         s = _fraction(raw.get("s"), where, "s")
-        # A positive epsilon only lowers edge_weight below -log2(s).
-        if s and weight > -math.log2(s):
-            raise GraphFormatError(
-                f"{where}: 'weight' {weight} is above -log2(s) = {-math.log2(s)} for s {s}"
-            )
         edges.append(
             JoinEdge(
                 left=left,
@@ -413,12 +409,12 @@ def graph_from_json(text: str) -> JoinGraph:
                 kind=kind,
                 join_columns=_columns_from_json(raw.get("columns"), where, kind),
                 overlap_s=s,  # type: ignore[arg-type]
-                weight=weight,  # type: ignore[arg-type]
+                weight=edge_weight(s, epsilon),  # type: ignore[arg-type]
                 value_score=_fraction(raw.get("value_score"), where, "value_score", optional=True),
                 alternates=tuple(alternates),
             )
         )
-    return JoinGraph(nodes=nodes, edges=tuple(edges))
+    return JoinGraph(nodes=nodes, edges=tuple(edges), epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------

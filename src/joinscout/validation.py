@@ -184,7 +184,7 @@ def validate_many(
 
     ``jobs`` must be 1; any other value raises :class:`ValueError`.  The
     parameter stays only because the benchmark's ``perfbench/ops.py``
-    passes ``jobs=1``; ROADMAP item 6's benchmark change deletes the
+    passes ``jobs=1``; ROADMAP item 2's benchmark change deletes the
     parameter together with that call.
     """
     if jobs != 1:

@@ -71,6 +71,27 @@ def test_long_row_rejected(tmp_path):
         load_catalog(manifest)
 
 
+def test_long_row_line_number_counts_physical_lines(tmp_path):
+    manifest = write_catalog_files(tmp_path, {"d": {"T": {"columns": ["a", "b"], "rows": []}}})
+    # The quoted cell spans lines 2-3, so the three-cell row is on line 4.
+    (tmp_path / "d__T.csv").write_text('a,b\r\n"multi\nline",x\r\n1,2,3\r\n', newline="")
+    with pytest.raises(SchemaMismatchError, match="line 4 has 3 cells"):
+        load_catalog(manifest)
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["id,name\r\n1,a\r\n\r\n2,b\r\n", "id,name\r\n1,a\r\n2,b\r\n\r\n"],
+    ids=["blank-line-in-middle", "blank-line-at-end"],
+)
+def test_blank_lines_are_not_rows(tmp_path, body):
+    manifest = write_catalog_files(tmp_path, {"d": {"T": {"columns": ["id", "name"], "rows": []}}})
+    (tmp_path / "d__T.csv").write_text(body, newline="")
+    table = load_catalog(manifest).table(TableRef("d", "T"))
+    assert table.row_count == 2
+    assert list(table.rows()) == [("1", "a"), ("2", "b")]
+
+
 def test_header_mismatch_rejected(tmp_path):
     path = write_catalog_files(tmp_path, {"d": {"T": {"columns": ["a", "b"], "rows": []}}})
     doc = json.loads(path.read_text())
@@ -241,6 +262,18 @@ class TestRoundTrip:
         out = save_catalog(cat, tmp_path / "again")
         reloaded = load_catalog(out)
         assert list(reloaded.table(TableRef("d", "T")).rows()) == [tuple(r) for r in rows]
+        assert reloaded == cat
+
+    def test_one_column_empty_cell_survives(self, tmp_path):
+        # csv.writer writes a lone empty cell as "", not as a blank line.
+        manifest = write_catalog_files(
+            tmp_path, {"d": {"T": {"columns": ["a"], "rows": [["x"], [""], [""]]}}}
+        )
+        cat = load_catalog(manifest)
+        out = save_catalog(cat, tmp_path / "again")
+        assert (tmp_path / "again" / "d" / "T.csv").read_bytes() == b'a\r\nx\r\n""\r\n""\r\n'
+        reloaded = load_catalog(out)
+        assert reloaded.column(ColumnRef("d", "T", "a")).values == ("x", "", "")
         assert reloaded == cat
 
     def test_crlf_line_endings(self, tiny_manifest, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import shutil
 import subprocess
 from pathlib import Path
@@ -158,16 +159,25 @@ class TestPath:
         bad.write_text("{broken", encoding="utf-8")
         assert main(["path", str(bad), "A", "B"]) == EXIT_DATA
 
-    def test_negative_weight_graph_file(self, tmp_path, capsys):
-        a, b = TableRef("d1", "A"), TableRef("d2", "B")
-        edge = JoinEdge(
-            left=a, right=b, kind=EdgeKind.FUZZY, join_columns=(("k", "k"),),
-            overlap_s=0.5, weight=-5.0,
-        )
-        path = tmp_path / "negative.json"
-        path.write_text(graph_to_json(JoinGraph(nodes=(a, b), edges=(edge,))), encoding="utf-8")
-        assert main(["path", str(path), "A", "B"]) == EXIT_DATA
-        assert "weight" in capsys.readouterr().err
+    def test_graph_file_without_epsilon(self, workspace, tmp_path, capsys):
+        doc = json.loads(workspace["graph"].read_text(encoding="utf-8"))
+        del doc["epsilon"]
+        path = tmp_path / "old_format.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["path", str(path), "Doctors", "Hospital_Survey"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "epsilon" in err and "joinscout discover" in err
+
+    def test_edited_s_sets_the_weight(self, workspace, tmp_path, capsys):
+        doc = json.loads(workspace["graph"].read_text(encoding="utf-8"))
+        (edge,) = [e for e in doc["edges"] if e["columns"] == [["clinic_name", "hospital_name"]]]
+        edge["s"] = 0.01
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["path", str(path), "Doctors", "Hospital_Survey"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "(s=0.010, weight=6.6437)" in out
+        assert "retains ~0.9% of rows" in out
 
     @pytest.mark.parametrize("value_score", [float("nan"), float("inf"), 1.5])
     def test_out_of_range_value_score_graph_file(self, tmp_path, capsys, value_score):

@@ -7,6 +7,7 @@ floats are directly comparable.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import replace
@@ -34,9 +35,10 @@ from joinscout.validation import ValidationResult
 
 # A well-formed graph file with one fuzzy edge and one alternate.
 _FUZZY_EDGE = """
-{"nodes": [{"db": "d1", "table": "A"}, {"db": "d2", "table": "B"}],
+{"epsilon": 1e-06,
+ "nodes": [{"db": "d1", "table": "A"}, {"db": "d2", "table": "B"}],
  "edges": [{"left": {"db": "d1", "table": "A"}, "right": {"db": "d2", "table": "B"},
-            "kind": "fuzzy", "columns": [["k", "k"]], "s": 0.5, "weight": 1.0,
+            "kind": "fuzzy", "columns": [["k", "k"]], "s": 0.5,
             "alternates": [{"columns": [["j", "j"]], "s": 0.4}]}]}
 """
 
@@ -304,7 +306,7 @@ def test_dijkstra_matches_exhaustive_enumeration():
 
 
 class TestSerialization:
-    def _graph(self, memory_catalog):
+    def _graph(self, memory_catalog, config=None):
         v = ValidationResult(
             match=ColumnMatch(
                 left=ColumnRef("alpha", "Users", "user_name"),
@@ -313,52 +315,100 @@ class TestSerialization:
             ),
             value_score=0.88, overlap_s=0.5, sampled_left=3, sampled_right=3,
         )
-        return build_graph(memory_catalog, [v])
+        return build_graph(memory_catalog, [v], config)
 
     def test_json_round_trip(self, memory_catalog):
         graph = self._graph(memory_catalog)
+        assert graph_from_json(graph_to_json(graph)) == graph
+
+    def test_file_stores_epsilon_not_weights(self, memory_catalog):
+        doc = json.loads(graph_to_json(self._graph(memory_catalog)))
+        assert doc["epsilon"] == 1e-6
+        assert all("weight" not in edge for edge in doc["edges"])
+
+    def test_build_graph_epsilon_round_trips(self, memory_catalog):
+        graph = self._graph(memory_catalog, MatchConfig(epsilon=1e-3))
+        assert graph.epsilon == 1e-3
+        assert all(e.weight == edge_weight(e.overlap_s, 1e-3) for e in graph.edges)
         assert graph_from_json(graph_to_json(graph)) == graph
 
     def test_json_stable_bytes(self, memory_catalog):
         graph = self._graph(memory_catalog)
         assert graph_to_json(graph) == graph_to_json(self._graph(memory_catalog))
 
+    # Ids leave out the "epsilon" that each document past the list checks needs.
     @pytest.mark.parametrize(
-        "text",
+        "text, message",
         [
-            "{not json",
-            "[]",
-            '{"nodes": {}, "edges": []}',
-            '{"nodes": [], "edges": [{"left": {"db": "a", "table": "T"}}]}',
-            '{"nodes": [{"db": "a"}], "edges": []}',
+            pytest.param("{not json", "not valid JSON", id="{not json"),
+            pytest.param("[]", "root must be an object", id="[]"),
             pytest.param(
-                '{"nodes": [{"db": "a", "table": "T"}, {"db": "a", "table": "T"}], "edges": []}',
+                '{"epsilon": 1e-06, "nodes": {}, "edges": []}',
+                "needs 'nodes' and 'edges' lists",
+                id='{"nodes": {}, "edges": []}',
+            ),
+            pytest.param(
+                '{"epsilon": 1e-06, "nodes": [], "edges": [{"left": {"db": "a", "table": "T"}}]}',
+                r"edges\[0\]: expected \{'db'",
+                id='{"nodes": [], "edges": [{"left": {"db": "a", "table": "T"}}]}',
+            ),
+            pytest.param(
+                '{"epsilon": 1e-06, "nodes": [{"db": "a"}], "edges": []}',
+                r"nodes\[0\]: expected \{'db'",
+                id='{"nodes": [{"db": "a"}], "edges": []}',
+            ),
+            pytest.param(
+                '{"epsilon": 1e-06, "nodes": [{"db": "a", "table": "T"}, {"db": "a", "table": "T"}],'
+                ' "edges": []}',
+                "node a.T is listed more than once",
                 id="node-listed-twice",
             ),
             # A fuzzy edge, or an alternate of one, joins on one column pair.
             pytest.param(
                 _FUZZY_EDGE.replace('[["k", "k"]]', '[["k", "k"], ["m", "m"]]', 1),
+                r"edges\[0\]: a fuzzy join needs exactly one column pair",
                 id="fuzzy-edge-with-two-pairs",
             ),
             pytest.param(
                 _FUZZY_EDGE.replace('[["j", "j"]]', '[["j", "j"], ["m", "m"]]', 1),
+                r"edges\[0\]\.alternates\[0\]: a fuzzy join needs exactly one column pair",
                 id="fuzzy-alternate-with-two-pairs",
-            ),
-            # No positive epsilon gives s = 0.99 a weight above -log2(0.99) = 0.0145.
-            pytest.param(
-                _FUZZY_EDGE.replace('"s": 0.5, "weight": 1.0', '"s": 0.99, "weight": 0.415', 1),
-                id="weight-above-minus-log2-s",
             ),
         ],
     )
-    def test_malformed_rejected(self, text):
-        with pytest.raises(GraphFormatError):
+    def test_malformed_rejected(self, text, message):
+        with pytest.raises(GraphFormatError, match=message):
             graph_from_json(text)
 
-    @pytest.mark.parametrize("s, weight", [(0.5, 1.0), (1.0, 0.0), (0.0, 19.93)])
-    def test_weight_at_most_minus_log2_s_loads(self, s, weight):
-        text = _FUZZY_EDGE.replace('"s": 0.5, "weight": 1.0', f'"s": {s}, "weight": {weight}', 1)
-        assert graph_from_json(text).edges[0].weight == weight
+    def test_missing_epsilon_asks_for_a_new_graph(self):
+        text = _FUZZY_EDGE.replace('"epsilon": 1e-06,', "", 1)
+        with pytest.raises(GraphFormatError, match=r"no 'epsilon'.*joinscout discover"):
+            graph_from_json(text)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            "null", '"1e-06"', "true", "0", "0.0", "-1e-06", "NaN", "Infinity",
+            pytest.param("1" + "0" * 400, id="400-digit-integer"),
+        ],
+    )
+    def test_epsilon_must_be_a_positive_finite_number(self, raw):
+        text = _FUZZY_EDGE.replace('"epsilon": 1e-06', f'"epsilon": {raw}', 1)
+        with pytest.raises(GraphFormatError, match="'epsilon' must be"):
+            graph_from_json(text)
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 0.99, 1.0])
+    def test_weight_is_derived_from_s_and_epsilon(self, s):
+        text = _FUZZY_EDGE.replace('"epsilon": 1e-06', '"epsilon": 0.25', 1)
+        text = text.replace('"s": 0.5', f'"s": {s}', 1)
+        graph = graph_from_json(text)
+        assert graph.epsilon == 0.25
+        assert graph.edges[0].weight == edge_weight(s, 0.25)
+
+    def test_stored_weight_is_ignored(self):
+        # Only s and epsilon decide a weight; a stray key cannot override them.
+        text = _FUZZY_EDGE.replace('"s": 0.5,', '"s": 0.5, "weight": -5.0,', 1)
+        assert graph_from_json(text).edges[0].weight == edge_weight(0.5)
 
     def test_unknown_kind_rejected(self, memory_catalog):
         doc = graph_to_json(self._graph(memory_catalog)).replace('"fk"', '"magic"')
@@ -367,33 +417,18 @@ class TestSerialization:
 
     def test_endpoint_must_be_listed(self):
         text = """
-        {"nodes": [{"db": "a", "table": "T"}],
+        {"epsilon": 1e-06, "nodes": [{"db": "a", "table": "T"}],
          "edges": [{"left": {"db": "a", "table": "T"},
                     "right": {"db": "zz", "table": "Q"},
-                    "kind": "fk", "columns": [["x", "y"]],
-                    "s": 0.5, "weight": 1.0}]}
+                    "kind": "fk", "columns": [["x", "y"]], "s": 0.5}]}
         """
         with pytest.raises(GraphFormatError, match="endpoint"):
             graph_from_json(text)
 
-    @pytest.mark.parametrize("weight", [-5.0, math.nan, math.inf])
-    def test_weight_must_be_finite_and_non_negative(self, weight):
-        # Loaded with B-C at -5, Dijkstra would settle C through A-C (0.5)
-        # although A-B-C sums to -4.
-        a, b, c = TableRef("d", "A"), TableRef("d", "B"), TableRef("d", "C")
-        graph = JoinGraph(
-            nodes=(a, b, c),
-            edges=(
-                JoinEdge(left=a, right=b, kind=EdgeKind.FK, join_columns=(("x", "x"),),
-                         overlap_s=0.5, weight=1.0),
-                JoinEdge(left=b, right=c, kind=EdgeKind.FK, join_columns=(("y", "y"),),
-                         overlap_s=0.5, weight=weight),
-                JoinEdge(left=a, right=c, kind=EdgeKind.FK, join_columns=(("z", "z"),),
-                         overlap_s=0.7, weight=0.5),
-            ),
-        )
-        with pytest.raises(GraphFormatError, match=r"edges\[1\].*weight"):
-            graph_from_json(graph_to_json(graph))
+    def test_integer_past_float_range_is_a_format_error(self):
+        text = _FUZZY_EDGE.replace('"s": 0.5', '"s": 1' + "0" * 400, 1)
+        with pytest.raises(GraphFormatError, match="'s' must be in"):
+            graph_from_json(text)
 
     @pytest.mark.parametrize("s", [1.5, -0.1, math.nan])
     def test_edge_s_must_be_in_unit_interval(self, memory_catalog, s):
