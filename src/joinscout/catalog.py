@@ -202,7 +202,8 @@ def _parse_foreign_key(raw: object, where: str) -> ForeignKey:
 
 def _read_csv_table(path: Path, expect_columns: list[str], where: str) -> list[list[str]]:
     """Read one CSV file and return per-column value lists."""
-    with path.open(newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes.
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -247,7 +248,7 @@ def load_catalog(manifest_path: str | Path) -> Catalog:
     if not manifest_path.exists():
         raise MissingFileError(f"manifest not found: {manifest_path}")
     try:
-        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+        doc = json.loads(manifest_path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise ManifestParseError(f"manifest is not valid JSON: {exc}") from exc
 

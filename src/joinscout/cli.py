@@ -113,13 +113,9 @@ def build_parser() -> _Parser:
 
 
 def _resolve_table(graph: JoinGraph, text: str) -> TableRef:
-    if "." in text:
-        db, _, table = text.partition(".")
-        ref = TableRef(db, table)
-        if ref not in graph.node_set:
-            raise UnknownTableError(f"no table {text!r} in the graph")
-        return ref
-    hits = [node for node in graph.nodes if node.table == text]
+    # A database or table name may hold a dot, so match the printed name whole.
+    hits = [node for node in graph.nodes if str(node) == text]
+    hits = hits or [node for node in graph.nodes if node.table == text]
     if not hits:
         raise UnknownTableError(f"no table {text!r} in the graph")
     if len(hits) > 1:

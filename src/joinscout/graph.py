@@ -29,7 +29,6 @@ from .matching import MatchConfig
 from .validation import ValidationResult
 
 __all__ = [
-    "EdgeAlternate",
     "EdgeKind",
     "JoinEdge",
     "JoinGraph",
@@ -49,22 +48,11 @@ class EdgeKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class EdgeAlternate:
-    """A runner-up column pair between the same two tables."""
-
-    join_columns: tuple[tuple[str, str], ...]
-    overlap_s: float
-    value_score: float | None = None
-
-
-@dataclass(frozen=True)
 class JoinEdge:
     """An undirected join opportunity between two tables.
 
     Endpoints are stored in sorted order; ``join_columns`` pairs are
-    oriented left-to-right.  When several column pairs link the same two
-    tables, the strongest becomes the edge and the rest are kept in
-    ``alternates``.
+    oriented left-to-right.
     """
 
     left: TableRef
@@ -74,7 +62,6 @@ class JoinEdge:
     overlap_s: float
     weight: float
     value_score: float | None = None
-    alternates: tuple[EdgeAlternate, ...] = ()
 
     def other(self, ref: TableRef) -> TableRef:
         if ref == self.left:
@@ -166,8 +153,8 @@ def build_graph(
     Foreign keys become ``fk`` edges weighted by the classical Jaccard
     overlap of the actual key values.  Validated column matches become
     ``fuzzy`` edges weighted by their soft overlap; each table pair gets at
-    most one edge per kind, keeping the strongest columns and recording the
-    rest as alternates.
+    most one edge per kind, on its strongest columns (ties go to the
+    smaller column pair).
     """
     cfg = config or MatchConfig()
     nodes = tuple(sorted(catalog.table_refs()))
@@ -204,8 +191,7 @@ def build_graph(
 
     edges: list[JoinEdge] = []
     for (left, right, kind), options in grouped.items():
-        options.sort(key=lambda opt: (-opt[0], opt[1]))
-        best_s, best_pairs, best_vs = options[0]
+        best_s, best_pairs, best_vs = min(options, key=lambda opt: (-opt[0], opt[1]))
         edges.append(
             JoinEdge(
                 left=left,
@@ -215,10 +201,6 @@ def build_graph(
                 overlap_s=best_s,
                 weight=edge_weight(best_s, cfg.epsilon),
                 value_score=best_vs,
-                alternates=tuple(
-                    EdgeAlternate(join_columns=p, overlap_s=s, value_score=vs)
-                    for s, p, vs in options[1:]
-                ),
             )
         )
     edges.sort(key=lambda e: (e.left, e.right, e.kind.value))
@@ -285,14 +267,6 @@ def graph_to_json(graph: JoinGraph) -> str:
                 "columns": [list(pair) for pair in e.join_columns],
                 "s": e.overlap_s,
                 "value_score": e.value_score,
-                "alternates": [
-                    {
-                        "columns": [list(pair) for pair in alt.join_columns],
-                        "s": alt.overlap_s,
-                        "value_score": alt.value_score,
-                    }
-                    for alt in e.alternates
-                ],
             }
             for e in graph.edges
         ],
@@ -384,23 +358,6 @@ def graph_from_json(text: str) -> JoinGraph:
             kind = EdgeKind(kind_raw)
         except ValueError:
             raise GraphFormatError(f"{where}: unknown edge kind {kind_raw!r}") from None
-        alternates = []
-        raw_alts = raw.get("alternates", [])
-        if not isinstance(raw_alts, list):
-            raise GraphFormatError(f"{where}: 'alternates' must be a list")
-        for j, raw_alt in enumerate(raw_alts):
-            alt_where = f"{where}.alternates[{j}]"
-            if not isinstance(raw_alt, dict):
-                raise GraphFormatError(f"{alt_where}: expected an object")
-            alternates.append(
-                EdgeAlternate(
-                    join_columns=_columns_from_json(raw_alt.get("columns"), alt_where, kind),
-                    overlap_s=_fraction(raw_alt.get("s"), alt_where, "s"),  # type: ignore[arg-type]
-                    value_score=_fraction(
-                        raw_alt.get("value_score"), alt_where, "value_score", optional=True
-                    ),
-                )
-            )
         s = _fraction(raw.get("s"), where, "s")
         edges.append(
             JoinEdge(
@@ -411,7 +368,6 @@ def graph_from_json(text: str) -> JoinGraph:
                 overlap_s=s,  # type: ignore[arg-type]
                 weight=edge_weight(s, epsilon),  # type: ignore[arg-type]
                 value_score=_fraction(raw.get("value_score"), where, "value_score", optional=True),
-                alternates=tuple(alternates),
             )
         )
     return JoinGraph(nodes=nodes, edges=tuple(edges), epsilon=epsilon)

@@ -92,6 +92,22 @@ def test_blank_lines_are_not_rows(tmp_path, body):
     assert list(table.rows()) == [("1", "a"), ("2", "b")]
 
 
+def test_bom_prefixed_csv_loads(tmp_path):
+    manifest = write_catalog_files(tmp_path, {"d": {"T": {"columns": ["id", "name"], "rows": []}}})
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark; only that one is dropped.
+    body = "\ufeffid,name\r\n\ufeff1,caf\u00e9\r\n"
+    (tmp_path / "d__T.csv").write_text(body, encoding="utf-8", newline="")
+    table = load_catalog(manifest).table(TableRef("d", "T"))
+    assert table.column_names == ("id", "name")
+    assert list(table.rows()) == [("\ufeff1", "caf\u00e9")]
+
+
+def test_bom_prefixed_manifest_loads(tmp_path):
+    manifest = write_catalog_files(tmp_path, {"d": {"T": {"columns": ["a"], "rows": [["x"]]}}})
+    manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+    assert list(load_catalog(manifest).table(TableRef("d", "T")).rows()) == [("x",)]
+
+
 def test_header_mismatch_rejected(tmp_path):
     path = write_catalog_files(tmp_path, {"d": {"T": {"columns": ["a", "b"], "rows": []}}})
     doc = json.loads(path.read_text())

@@ -108,6 +108,17 @@ class TestDiscover:
         assert not graph_out.exists()
 
 
+def _two_table_graph(tmp_path: Path, left: TableRef, right: TableRef) -> str:
+    """Write a graph of two tables joined by one fuzzy edge; return its path."""
+    edge = JoinEdge(
+        left=left, right=right, kind=EdgeKind.FUZZY, join_columns=(("k", "k"),),
+        overlap_s=0.5, weight=edge_weight(0.5),
+    )
+    path = tmp_path / "graph.json"
+    path.write_text(graph_to_json(JoinGraph(nodes=(left, right), edges=(edge,))), encoding="utf-8")
+    return str(path)
+
+
 class TestPath:
     def test_doctor_to_survey_via_clinics(self, workspace, capsys):
         code = main(
@@ -142,17 +153,34 @@ class TestPath:
         assert "Nonexistent" in capsys.readouterr().err
 
     def test_ambiguous_bare_name(self, tmp_path, capsys):
-        r1, r2 = TableRef("d1", "Stats"), TableRef("d2", "Stats")
-        edge = JoinEdge(
-            left=r1, right=r2, kind=EdgeKind.FUZZY, join_columns=(("k", "k"),),
-            overlap_s=0.5, weight=edge_weight(0.5),
-        )
-        doc = graph_to_json(JoinGraph(nodes=(r1, r2), edges=(edge,)))
-        path = tmp_path / "twin.json"
-        path.write_text(doc, encoding="utf-8")
-        code = main(["path", str(path), "Stats", "d2.Stats"])
+        path = _two_table_graph(tmp_path, TableRef("d1", "Stats"), TableRef("d2", "Stats"))
+        code = main(["path", path, "Stats", "d2.Stats"])
         assert code == EXIT_DATA
         assert "ambiguous" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "left, right, names, printed",
+        [
+            pytest.param(
+                TableRef("sales.v2", "Items"), TableRef("sales.v2", "Orders"),
+                ["sales.v2.Orders", "sales.v2.Items"], "sales.v2.Orders -> sales.v2.Items",
+                id="dotted-database-qualified",
+            ),
+            pytest.param(
+                TableRef("d1", "T.2024"), TableRef("d2", "B"),
+                ["T.2024", "B"], "d1.T.2024 -> d2.B",
+                id="dotted-table-bare",
+            ),
+        ],
+    )
+    def test_dotted_names_resolve(self, tmp_path, capsys, left, right, names, printed):
+        assert main(["path", _two_table_graph(tmp_path, left, right), *names]) == EXIT_OK
+        assert printed in capsys.readouterr().out
+
+    def test_two_tables_printed_alike_are_ambiguous(self, tmp_path, capsys):
+        path = _two_table_graph(tmp_path, TableRef("a", "b.T"), TableRef("a.b", "T"))
+        assert main(["path", path, "a.b.T", "a.b.T"]) == EXIT_DATA
+        assert "'a.b.T' is ambiguous" in capsys.readouterr().err
 
     def test_corrupt_graph_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

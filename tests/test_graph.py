@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from joinscout.catalog import ColumnRef, TableRef
 from joinscout.errors import GraphFormatError, UnknownTableError
 from joinscout.graph import (
-    EdgeAlternate,
     EdgeKind,
     JoinEdge,
     JoinGraph,
@@ -33,13 +32,12 @@ from joinscout.graph import (
 from joinscout.matching import ColumnMatch, MatchConfig
 from joinscout.validation import ValidationResult
 
-# A well-formed graph file with one fuzzy edge and one alternate.
+# A well-formed graph file with one fuzzy edge.
 _FUZZY_EDGE = """
 {"epsilon": 1e-06,
  "nodes": [{"db": "d1", "table": "A"}, {"db": "d2", "table": "B"}],
  "edges": [{"left": {"db": "d1", "table": "A"}, "right": {"db": "d2", "table": "B"},
-            "kind": "fuzzy", "columns": [["k", "k"]], "s": 0.5,
-            "alternates": [{"columns": [["j", "j"]], "s": 0.4}]}]}
+            "kind": "fuzzy", "columns": [["k", "k"]], "s": 0.5}]}
 """
 
 
@@ -146,24 +144,33 @@ class TestBuildGraph:
         assert edge.join_columns == (("user_name", "full_name"),)
         assert edge.value_score == 0.9
 
-    def test_strongest_pair_wins_others_become_alternates(self, memory_catalog):
+    @pytest.mark.parametrize(
+        "weak_s, winner",
+        [
+            pytest.param(0.2, ("user_name", "full_name"), id="stronger-s"),
+            # Equal s: the smaller column pair wins.
+            pytest.param(0.7, ("user_id", "person_id"), id="tie-smaller-columns"),
+        ],
+    )
+    def test_strongest_pair_wins(self, memory_catalog, weak_s, winner):
         weak = self._validation(
             ColumnRef("alpha", "Users", "user_id"),
             ColumnRef("beta", "People", "person_id"),
-            s=0.2,
+            s=weak_s,
         )
         strong = self._validation(
             ColumnRef("alpha", "Users", "user_name"),
             ColumnRef("beta", "People", "full_name"),
             s=0.7,
         )
-        graph = build_graph(memory_catalog, [weak, strong])
+        # On a tie the winner comes second, so input order cannot pick it.
+        graph = build_graph(memory_catalog, [strong, weak])
         fuzzy = [e for e in graph.edges if e.kind is EdgeKind.FUZZY]
         assert len(fuzzy) == 1
-        assert fuzzy[0].join_columns == (("user_name", "full_name"),)
+        assert fuzzy[0].join_columns == (winner,)
         assert fuzzy[0].overlap_s == 0.7
-        assert len(fuzzy[0].alternates) == 1
-        assert fuzzy[0].alternates[0].join_columns == (("user_id", "person_id"),)
+        # No foreign key uses person_id, so only a kept runner-up could name it.
+        assert ("person_id" in graph_to_json(graph)) == (winner[1] == "person_id")
 
     def test_fk_and_fuzzy_can_coexist(self, memory_catalog):
         v = self._validation(
@@ -363,16 +370,11 @@ class TestSerialization:
                 "node a.T is listed more than once",
                 id="node-listed-twice",
             ),
-            # A fuzzy edge, or an alternate of one, joins on one column pair.
+            # A fuzzy edge joins on one column pair.
             pytest.param(
                 _FUZZY_EDGE.replace('[["k", "k"]]', '[["k", "k"], ["m", "m"]]', 1),
                 r"edges\[0\]: a fuzzy join needs exactly one column pair",
                 id="fuzzy-edge-with-two-pairs",
-            ),
-            pytest.param(
-                _FUZZY_EDGE.replace('[["j", "j"]]', '[["j", "j"], ["m", "m"]]', 1),
-                r"edges\[0\]\.alternates\[0\]: a fuzzy join needs exactly one column pair",
-                id="fuzzy-alternate-with-two-pairs",
             ),
         ],
     )
@@ -405,9 +407,18 @@ class TestSerialization:
         assert graph.epsilon == 0.25
         assert graph.edges[0].weight == edge_weight(s, 0.25)
 
-    def test_stored_weight_is_ignored(self):
+    @pytest.mark.parametrize(
+        "stray",
+        [
+            pytest.param('"weight": -5.0', id="weight"),
+            # Graph files once stored runner-up column pairs here.
+            pytest.param('"alternates": [{"columns": [["j", "j"]], "s": 0.4}]', id="alternates"),
+        ],
+    )
+    def test_stored_weight_is_ignored(self, stray):
         # Only s and epsilon decide a weight; a stray key cannot override them.
-        text = _FUZZY_EDGE.replace('"s": 0.5,', '"s": 0.5, "weight": -5.0,', 1)
+        text = _FUZZY_EDGE.replace('"s": 0.5', f'"s": 0.5, {stray}', 1)
+        assert graph_from_json(text) == graph_from_json(_FUZZY_EDGE)
         assert graph_from_json(text).edges[0].weight == edge_weight(0.5)
 
     def test_unknown_kind_rejected(self, memory_catalog):
@@ -437,18 +448,6 @@ class TestSerialization:
         with pytest.raises(GraphFormatError, match="'s' must be in"):
             graph_from_json(graph_to_json(replace(graph, edges=edges)))
 
-    @pytest.mark.parametrize("s", [1.5, math.nan])
-    def test_alternate_s_must_be_in_unit_interval(self, s):
-        a, b = TableRef("d1", "A"), TableRef("d2", "B")
-        edge = JoinEdge(
-            left=a, right=b, kind=EdgeKind.FUZZY, join_columns=(("k", "k"),),
-            overlap_s=0.5, weight=edge_weight(0.5),
-            alternates=(EdgeAlternate(join_columns=(("j", "j"),), overlap_s=s),),
-        )
-        text = graph_to_json(JoinGraph(nodes=(a, b), edges=(edge,)))
-        with pytest.raises(GraphFormatError, match=r"alternates\[0\]: 's' must be in"):
-            graph_from_json(text)
-
     @pytest.mark.parametrize("value_score", [math.nan, math.inf, -math.inf, -0.1, 1.5])
     def test_edge_value_score_must_be_in_unit_interval(self, memory_catalog, value_score):
         graph = self._graph(memory_catalog)
@@ -459,31 +458,12 @@ class TestSerialization:
         with pytest.raises(GraphFormatError, match=r"edges\[\d+\]: 'value_score' must be in"):
             graph_from_json(graph_to_json(replace(graph, edges=edges)))
 
-    @pytest.mark.parametrize("value_score", [math.nan, math.inf, -0.1, 1.5])
-    def test_alternate_value_score_must_be_in_unit_interval(self, value_score):
-        a, b = TableRef("d1", "A"), TableRef("d2", "B")
-        edge = JoinEdge(
-            left=a, right=b, kind=EdgeKind.FUZZY, join_columns=(("k", "k"),),
-            overlap_s=0.5, weight=edge_weight(0.5), value_score=0.9,
-            alternates=(
-                EdgeAlternate(join_columns=(("j", "j"),), overlap_s=0.4, value_score=value_score),
-            ),
-        )
-        text = graph_to_json(JoinGraph(nodes=(a, b), edges=(edge,)))
-        with pytest.raises(
-            GraphFormatError, match=r"alternates\[0\]: 'value_score' must be in"
-        ):
-            graph_from_json(text)
-
     @pytest.mark.parametrize("value_score", [0.0, 1.0, None])
     def test_value_score_bounds_and_absence_load(self, value_score):
         a, b = TableRef("d1", "A"), TableRef("d2", "B")
         edge = JoinEdge(
             left=a, right=b, kind=EdgeKind.FUZZY, join_columns=(("k", "k"),),
             overlap_s=0.5, weight=edge_weight(0.5), value_score=value_score,
-            alternates=(
-                EdgeAlternate(join_columns=(("j", "j"),), overlap_s=0.4, value_score=value_score),
-            ),
         )
         graph = JoinGraph(nodes=(a, b), edges=(edge,))
         assert graph_from_json(graph_to_json(graph)) == graph
