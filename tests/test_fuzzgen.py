@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -149,6 +150,49 @@ class TestFuzzConfig:
         assert cfg.synonym_map == dict(wordlists.DRUG_SYNONYMS)
 
 
+# sha256 of every file generate_catalog writes, for the README tour's seed
+# and one scale-4 catalog.  Any change to the order or number of RNG draws
+# changes them, and CI checks them on every Python version it runs.
+PINNED_SHA256 = {
+    (42, 1): {
+        "ground_truth.json": "30a4afd64655bef1462e8b1a23d1239d8aa385c26f436d61a6cccc4f044104fb",
+        "hospital_db/Appointments.csv": "44429e9490a15755ced305f53e0ab9575dad9ac63df5cdf550467b301c713d3c",
+        "hospital_db/Clinics.csv": "3158474388f6fb32ee5f00ee6d46b86d018af3fe29bd23b0bfa888aade17a153",
+        "hospital_db/Doctors.csv": "8f73f3f8a36ca9818c4700fbfd7a040719beb1aad1c31862bd7b2e2285652e87",
+        "hospital_db/Patients.csv": "e7155b47cc947454e26dfbcff5b2f2359c5940a07d7ce2384ea0094c890910c7",
+        "hospital_db/Prescriptions.csv": "395c01bcac1a9634b131ea1cf4402a117bc7d2ab722c41dfb91361bc3b99bce8",
+        "insurance_db/Claims.csv": "3d3646fea055af574c43c98aefde2605860e5b0d032cafd3c5c49c448bd89be7",
+        "insurance_db/Insurance_Providers.csv": "98297f9a18586d1b8fc489278a50d7dc1f863ef92ba0cdfe00c826ebe04a4e46",
+        "insurance_db/Insured_Patients.csv": "df161d9172da69aa88cff1466a36c25dea61eba319f6fc3dfab13e271ec52351",
+        "manifest.json": "edfccf20fbf07c5d26947e546bf51e74a34a419a606a85442c5cb6eba3a243f4",
+        "pharmacy_db/Drugs.csv": "ee49936c7f4d9dbfe7839cabf9a38fd6f0f96b6c4450b7df1be71ff9c90ae131",
+        "pharmacy_db/Pharmacies.csv": "0885bef77bb0970c6b6c26fbcf9682c934c0437d7343a1c62678bb3e823743c1",
+        "pharmacy_db/Pharmacy_Orders.csv": "7f66f4af78d36006590931a76fc2f74e5aee3065fd48166cb439731242d1cd27",
+        "public_info_db/Citizen_Registry.csv": "75645123a8e1a0c758ed753344862429dda3db8bc038d5ad264ed52b0d244b32",
+        "public_info_db/Drug_Watchlist.csv": "ae6a8b05cac86161026a18996a58fd0238ee2b50fdb5ad0c1a581eb677efe033",
+        "public_info_db/Hospital_Survey.csv": "8ab32d31b4e77bc786cc6136cd8ffbf30506928bc90763f9c4b773d599748d25",
+    },
+    (0, 4): {
+        "ground_truth.json": "af4580aeefb4b75fea607b8901bdd1e798411ed75b14c850c523f93e3f9b2b6e",
+        "hospital_db/Appointments.csv": "bbf8430a80a6263519067478dc4736b2e91802fd1c530599d0c069e54fbfe44f",
+        "hospital_db/Clinics.csv": "6f3b52520f56fdc798bc3a96b789522a37d5f3f7730e8d2520bba832e3ecb0dd",
+        "hospital_db/Doctors.csv": "30811c6a466a663662f43590f73529786d55805854c5f95b10aaa622c5f379a6",
+        "hospital_db/Patients.csv": "e5774b9ef64f03a57fe13b61878de4f48b2af3c9ff363bbdb89cdaacedb6582a",
+        "hospital_db/Prescriptions.csv": "36c46adf796d28d9efa0238f933f6afda2e2c2562ff302bbfbd12b4ed429312a",
+        "insurance_db/Claims.csv": "5bfd2d37e62e922fe409859af0ad037e9aff7c8f834c08188afa00da5d2604ab",
+        "insurance_db/Insurance_Providers.csv": "4dbe81f4822b628b1afcd5eef1f4b536001494c32234dc650f0201581ad8a780",
+        "insurance_db/Insured_Patients.csv": "c5be128a800224921694fd1ca0d0566fbb1993adf162f550cb30495001236d1d",
+        "manifest.json": "edfccf20fbf07c5d26947e546bf51e74a34a419a606a85442c5cb6eba3a243f4",
+        "pharmacy_db/Drugs.csv": "4d56c76122bca68419c49f3f19a1098aea806f9c8f4b7d6e3ed921e1720668b0",
+        "pharmacy_db/Pharmacies.csv": "524a3be4d726735b7feb8c55fe0383d3a75df2c6d64a3f7c56fd2a3a8f046709",
+        "pharmacy_db/Pharmacy_Orders.csv": "fad162470715ac768a75b593ed3e1ce8cc14b031d94befb0218e443c0429bd59",
+        "public_info_db/Citizen_Registry.csv": "bca62a21034306ddb8242a6af343da071cda4334d56f44e3f57b28c58bf693c3",
+        "public_info_db/Drug_Watchlist.csv": "c33edbeb676bca936d0533dcc861967711a4d82b67cf652547e7693da91a1378",
+        "public_info_db/Hospital_Survey.csv": "a58269fc8b4453e57b5c77cea2ec6d1fe15266718621b504b248a383ff74e397",
+    },
+}
+
+
 @pytest.fixture(scope="module")
 def generated(tmp_path_factory) -> tuple[Path, Catalog]:
     out = tmp_path_factory.mktemp("gen")
@@ -224,14 +268,16 @@ class TestGenerateCatalog:
             generate_catalog(tmp_path, scale=scale)
 
     def test_same_seed_reproduces_every_byte(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        generate_catalog(a, seed=9)
-        generate_catalog(b, seed=9)
-        files_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
-        files_b = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
-        assert files_a == files_b
-        for rel in files_a:
-            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+        for (seed, scale), pinned in PINNED_SHA256.items():
+            for run in ("a", "b"):
+                out = tmp_path / f"{seed}-{scale}-{run}"
+                generate_catalog(out, seed=seed, scale=scale)
+                digests = {
+                    p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in out.rglob("*")
+                    if p.is_file()
+                }
+                assert digests == pinned, (seed, scale, run)
 
     def test_different_seeds_differ(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
