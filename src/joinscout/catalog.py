@@ -27,14 +27,17 @@ A manifest looks like::
 empty string means missing.  Foreign keys stay inside their own database —
 cross-database links are exactly what the rest of the package discovers.
 
-Loaded catalogs are immutable: safe to share across threads.
+Loaded catalogs are immutable: safe to share across threads.  A column's
+``distinct_values`` is computed on first read; two threads that read it
+at once may both compute the same set, and one of them is kept.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -100,13 +103,11 @@ class ForeignKey:
 class Column:
     name: str
     values: tuple[str, ...]
-    distinct_values: frozenset[str] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        # Distinct non-empty values, cached once; empty string means missing.
-        object.__setattr__(
-            self, "distinct_values", frozenset(v for v in self.values if v)
-        )
+    @cached_property
+    def distinct_values(self) -> frozenset[str]:
+        """Distinct non-empty values; empty string means missing."""
+        return frozenset(v for v in self.values if v)
 
 
 @dataclass(frozen=True)

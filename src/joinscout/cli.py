@@ -124,6 +124,17 @@ def _resolve_table(graph: JoinGraph, text: str) -> TableRef:
     return hits[0]
 
 
+def _find_path(graph: JoinGraph, source_text: str, target_text: str) -> JoinPath | None:
+    """The cheapest path between two named tables, or None after saying on
+    stderr that there is none."""
+    source = _resolve_table(graph, source_text)
+    target = _resolve_table(graph, target_text)
+    path = shortest_path(graph, source, target)
+    if path is None:
+        print(f"no join path between {source} and {target}", file=sys.stderr)
+    return path
+
+
 def _load_match_config(path: str | None) -> MatchConfig:
     return load_config(path) if path else MatchConfig()
 
@@ -172,11 +183,8 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
 def cmd_path(args: argparse.Namespace) -> int:
     graph = graph_from_json(Path(args.graph).read_text(encoding="utf-8"))
-    source = _resolve_table(graph, args.source)
-    target = _resolve_table(graph, args.target)
-    path = shortest_path(graph, source, target)
+    path = _find_path(graph, args.source, args.target)
     if path is None:
-        print(f"no join path between {source} and {target}", file=sys.stderr)
         return EXIT_NO_PATH
     _print_path(path)
     return EXIT_OK
@@ -186,11 +194,8 @@ def cmd_join(args: argparse.Namespace) -> int:
     graph = graph_from_json(Path(args.graph).read_text(encoding="utf-8"))
     config = _load_match_config(args.config)
     catalog = load_catalog(args.manifest)
-    source = _resolve_table(graph, args.source)
-    target = _resolve_table(graph, args.target)
-    path = shortest_path(graph, source, target)
+    path = _find_path(graph, args.source, args.target)
     if path is None:
-        print(f"no join path between {source} and {target}", file=sys.stderr)
         return EXIT_NO_PATH
     result = execute_path(path, catalog, config)
     if args.out == "-":

@@ -22,9 +22,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import wordlists
 from .catalog import (
@@ -65,23 +65,19 @@ class FuzzConfig:
     ``fuzzify_fraction`` of the shared values are transformed; the rest are
     copied verbatim.  ``char_removal_rate`` picks between character removal
     and the column's alternative transform (reordering for person names,
-    label suffixes for facility names).
+    a label from ``wordlists.FACILITY_LABELS`` for facility names).  A drug
+    name takes its spelling variant from ``wordlists.DRUG_SYNONYMS`` when
+    it has one and loses characters otherwise.
     """
 
     fuzzify_fraction: float = 0.3
     char_removal_rate: float = 0.5
-    synonym_map: Mapping[str, str] = field(
-        default_factory=lambda: dict(wordlists.DRUG_SYNONYMS)
-    )
-    suffix_pool: tuple[str, ...] = ("Clinic", "Hospital")
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fuzzify_fraction <= 1.0:
             raise ValueError("fuzzify_fraction must be in [0, 1]")
         if not 0.0 <= self.char_removal_rate <= 1.0:
             raise ValueError("char_removal_rate must be in [0, 1]")
-        if not self.suffix_pool:
-            raise ValueError("suffix_pool must not be empty")
 
 
 # ---------------------------------------------------------------------------
@@ -154,63 +150,14 @@ def _date(rng: random.Random, years: tuple[int, int] = (2024, 2025)) -> str:
     )
 
 
-def _table(name: str, header: Sequence[str], rows: Sequence[Sequence[str]], **kw) -> Table:
+def _table(
+    name: str, header: Sequence[str], rows: Sequence[Sequence[str]], *foreign_keys: ForeignKey
+) -> Table:
+    """A table keyed on its first column."""
     columns = tuple(
         Column(col, tuple(row[i] for row in rows)) for i, col in enumerate(header)
     )
-    return Table(name=name, columns=columns, **kw)
-
-
-@dataclass
-class _FuzzLog:
-    """Collects which values got transformed, for the ground-truth sidecar."""
-
-    entries: list[dict] = field(default_factory=list)
-
-    def add(self, db: str, table: str, column: str, original: str, value: str, transform: str) -> None:
-        self.entries.append(
-            {
-                "db": db,
-                "table": table,
-                "column": column,
-                "original": original,
-                "value": value,
-                "transform": transform,
-            }
-        )
-
-
-def _maybe_fuzz_person(name: str, rng: random.Random, fuzz: FuzzConfig, log: _FuzzLog) -> str:
-    if rng.random() >= fuzz.fuzzify_fraction:
-        return name
-    if rng.random() < fuzz.char_removal_rate:
-        fuzzed, how = remove_chars(name, rng), "remove_chars"
-    else:
-        fuzzed, how = reorder_name(name), "reorder_name"
-    log.add("public_info_db", "Citizen_Registry", "citizen_name", name, fuzzed, how)
-    return fuzzed
-
-
-def _maybe_fuzz_facility(name: str, rng: random.Random, fuzz: FuzzConfig, log: _FuzzLog) -> str:
-    if rng.random() >= fuzz.fuzzify_fraction:
-        return name
-    if rng.random() < fuzz.char_removal_rate:
-        fuzzed, how = remove_chars(name, rng), "remove_chars"
-    else:
-        fuzzed, how = vary_label(name, fuzz.suffix_pool, rng), "vary_label"
-    log.add("public_info_db", "Hospital_Survey", "hospital_name", name, fuzzed, how)
-    return fuzzed
-
-
-def _maybe_fuzz_drug(name: str, rng: random.Random, fuzz: FuzzConfig, log: _FuzzLog) -> str:
-    if rng.random() >= fuzz.fuzzify_fraction:
-        return name
-    if name in fuzz.synonym_map:
-        fuzzed, how = inject_synonym(name, fuzz.synonym_map), "inject_synonym"
-    else:
-        fuzzed, how = remove_chars(name, rng), "remove_chars"
-    log.add("public_info_db", "Drug_Watchlist", "medication_name", name, fuzzed, how)
-    return fuzzed
+    return Table(name, columns, primary_key=(header[0],), foreign_keys=foreign_keys)
 
 
 def generate_catalog(
@@ -233,7 +180,7 @@ def generate_catalog(
         raise ValueError(f"scale > {MAX_SCALE} would exhaust the person-name pools")
     cfg = fuzz or FuzzConfig()
     rng = random.Random(seed)
-    log = _FuzzLog()
+    log: list[dict] = []
 
     n_patients = 60 * scale
     n_citizen_extras = 20 * scale
@@ -371,9 +318,44 @@ def generate_catalog(
     ]
 
     # --- public info: the fuzzy side ----------------------------------------
-    citizen_names = [
-        _maybe_fuzz_person(name, rng, cfg, log) for name in patient_names
-    ] + citizen_extra_names
+    def fuzz_column(
+        table: str, column: str, values: Iterable[str], transform: Callable[[str], tuple[str, str]]
+    ) -> list[str]:
+        # transform(value) gives the transform's name and the fuzzed value.
+        out = []
+        for value in values:
+            if rng.random() < cfg.fuzzify_fraction:
+                how, fuzzed = transform(value)
+                log.append(
+                    {
+                        "db": "public_info_db",
+                        "table": table,
+                        "column": column,
+                        "original": value,
+                        "value": fuzzed,
+                        "transform": how,
+                    }
+                )
+                value = fuzzed
+            out.append(value)
+        return out
+
+    def removal_or(how: str, transform: Callable[[str], str]) -> Callable[[str], tuple[str, str]]:
+        return lambda value: (
+            ("remove_chars", remove_chars(value, rng))
+            if rng.random() < cfg.char_removal_rate
+            else (how, transform(value))
+        )
+
+    def synonym_or_removal(value: str) -> tuple[str, str]:
+        if value in wordlists.DRUG_SYNONYMS:
+            return "inject_synonym", inject_synonym(value, wordlists.DRUG_SYNONYMS)
+        return "remove_chars", remove_chars(value, rng)
+
+    citizen_names = fuzz_column(
+        "Citizen_Registry", "citizen_name", patient_names,
+        removal_or("reorder_name", reorder_name),
+    ) + citizen_extra_names
     citizen_ids = _distinct_ids(rng, len(citizen_names), _citizen_id)
     citizens_rows = [
         [cid, cname, rng.choice(wordlists.DISTRICTS)]
@@ -381,9 +363,10 @@ def generate_catalog(
     ]
     rng.shuffle(citizens_rows)
 
-    survey_names = [
-        _maybe_fuzz_facility(name, rng, cfg, log) for name in clinic_names
-    ] + list(wordlists.EXTRA_FACILITIES[:n_survey_extras])
+    survey_names = fuzz_column(
+        "Hospital_Survey", "hospital_name", clinic_names,
+        removal_or("vary_label", lambda name: vary_label(name, wordlists.FACILITY_LABELS, rng)),
+    ) + list(wordlists.EXTRA_FACILITIES[:n_survey_extras])
     rng.shuffle(survey_names)
     survey_rows = [
         [f"S-{i + 1:03d}", name, f"{rng.uniform(1.0, 5.0):.1f}"]
@@ -391,7 +374,7 @@ def generate_catalog(
     ]
 
     watched = rng.sample(wordlists.DRUG_NAMES, n_watchlist)
-    watch_names = [_maybe_fuzz_drug(name, rng, cfg, log) for name in watched]
+    watch_names = fuzz_column("Drug_Watchlist", "medication_name", watched, synonym_or_removal)
     watchlist_rows = [
         [f"W-{i + 1:03d}", name, rng.choice(wordlists.RISK_LEVELS)]
         for i, name in enumerate(watch_names)
@@ -405,42 +388,31 @@ def generate_catalog(
                 "Patients",
                 ["patient_id", "patient_name", "birth_year"],
                 patients_rows,
-                primary_key=("patient_id",),
             ),
             _table(
                 "Clinics",
                 ["clinic_id", "clinic_name", "city"],
                 clinics_rows,
-                primary_key=("clinic_id",),
             ),
             _table(
                 "Doctors",
                 ["doctor_id", "doctor_name", "clinic_id", "specialty"],
                 doctors_rows,
-                primary_key=("doctor_id",),
-                foreign_keys=(
-                    ForeignKey(("clinic_id",), "Clinics", ("clinic_id",)),
-                ),
+                ForeignKey(("clinic_id",), "Clinics", ("clinic_id",)),
             ),
             _table(
                 "Appointments",
                 ["appointment_id", "patient_id", "doctor_id", "appointment_date", "visit_reason"],
                 appointments_rows,
-                primary_key=("appointment_id",),
-                foreign_keys=(
-                    ForeignKey(("patient_id",), "Patients", ("patient_id",)),
-                    ForeignKey(("doctor_id",), "Doctors", ("doctor_id",)),
-                ),
+                ForeignKey(("patient_id",), "Patients", ("patient_id",)),
+                ForeignKey(("doctor_id",), "Doctors", ("doctor_id",)),
             ),
             _table(
                 "Prescriptions",
                 ["prescription_id", "patient_id", "doctor_id", "prescribed_drug", "dosage_mg", "prescription_date"],
                 prescriptions_rows,
-                primary_key=("prescription_id",),
-                foreign_keys=(
-                    ForeignKey(("patient_id",), "Patients", ("patient_id",)),
-                    ForeignKey(("doctor_id",), "Doctors", ("doctor_id",)),
-                ),
+                ForeignKey(("patient_id",), "Patients", ("patient_id",)),
+                ForeignKey(("doctor_id",), "Doctors", ("doctor_id",)),
             ),
         ),
     )
@@ -451,25 +423,18 @@ def generate_catalog(
                 "Insurance_Providers",
                 ["provider_id", "provider_name", "region"],
                 providers_rows,
-                primary_key=("provider_id",),
             ),
             _table(
                 "Insured_Patients",
                 ["member_id", "policyholder", "provider_id", "plan_type", "monthly_premium"],
                 insured_rows,
-                primary_key=("member_id",),
-                foreign_keys=(
-                    ForeignKey(("provider_id",), "Insurance_Providers", ("provider_id",)),
-                ),
+                ForeignKey(("provider_id",), "Insurance_Providers", ("provider_id",)),
             ),
             _table(
                 "Claims",
                 ["claim_id", "member_id", "claim_amount", "claim_status", "filed_on"],
                 claims_rows,
-                primary_key=("claim_id",),
-                foreign_keys=(
-                    ForeignKey(("member_id",), "Insured_Patients", ("member_id",)),
-                ),
+                ForeignKey(("member_id",), "Insured_Patients", ("member_id",)),
             ),
         ),
     )
@@ -480,23 +445,18 @@ def generate_catalog(
                 "Pharmacies",
                 ["pharmacy_id", "pharmacy_name", "street_address"],
                 pharmacies_rows,
-                primary_key=("pharmacy_id",),
             ),
             _table(
                 "Drugs",
                 ["drug_id", "drug_name", "manufacturer", "strength"],
                 drugs_rows,
-                primary_key=("drug_id",),
             ),
             _table(
                 "Pharmacy_Orders",
                 ["order_id", "pharmacy_id", "drug_id", "quantity", "order_date"],
                 orders_rows,
-                primary_key=("order_id",),
-                foreign_keys=(
-                    ForeignKey(("pharmacy_id",), "Pharmacies", ("pharmacy_id",)),
-                    ForeignKey(("drug_id",), "Drugs", ("drug_id",)),
-                ),
+                ForeignKey(("pharmacy_id",), "Pharmacies", ("pharmacy_id",)),
+                ForeignKey(("drug_id",), "Drugs", ("drug_id",)),
             ),
         ),
     )
@@ -507,19 +467,16 @@ def generate_catalog(
                 "Citizen_Registry",
                 ["citizen_id", "citizen_name", "district"],
                 citizens_rows,
-                primary_key=("citizen_id",),
             ),
             _table(
                 "Hospital_Survey",
                 ["survey_id", "hospital_name", "satisfaction_score"],
                 survey_rows,
-                primary_key=("survey_id",),
             ),
             _table(
                 "Drug_Watchlist",
                 ["watch_id", "medication_name", "risk_level"],
                 watchlist_rows,
-                primary_key=("watch_id",),
             ),
         ),
     )
@@ -539,7 +496,7 @@ def generate_catalog(
             _pair_json("pharmacy_db", "Drugs", "drug_name",
                        "public_info_db", "Drug_Watchlist", "medication_name"),
         ],
-        "fuzzified": log.entries,
+        "fuzzified": log,
     }
     (out_dir / GROUND_TRUTH_FILE).write_text(
         json.dumps(truth, indent=2) + "\n", encoding="utf-8"

@@ -44,8 +44,11 @@ CLINIC_SURNAMES = (
     "Overton", "Paxton", "Quayle", "Ridgewell", "Stanhope", "Thornbury",
 )
 
-# Survey rows that do not correspond to any clinic.  No "Clinic"/"Hospital"
-# token here, so a suffixed clinic name cannot drift toward an extra.
+# Labels a survey may append to a clinic's name: "Fox-Medina Clinic".
+FACILITY_LABELS = ("Clinic", "Hospital")
+
+# Survey rows that do not correspond to any clinic.  No FACILITY_LABELS
+# token here, so a labelled clinic name cannot drift toward an extra.
 EXTRA_FACILITIES = (
     "Brightwater Medical Center",
     "St. Aurelia Medical Center",

@@ -137,7 +137,6 @@ class TestFuzzConfig:
             {"fuzzify_fraction": 1.5},
             {"char_removal_rate": -1.0},
             {"char_removal_rate": 2.0},
-            {"suffix_pool": ()},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -147,7 +146,6 @@ class TestFuzzConfig:
     def test_defaults(self):
         cfg = FuzzConfig()
         assert cfg.fuzzify_fraction == 0.3
-        assert cfg.synonym_map == dict(wordlists.DRUG_SYNONYMS)
 
 
 # sha256 of every file generate_catalog writes, for the README tour's seed
