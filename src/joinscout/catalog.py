@@ -202,31 +202,40 @@ def _parse_foreign_key(raw: object, where: str) -> ForeignKey:
 
 
 def _read_csv_table(path: Path, expect_columns: list[str], where: str) -> list[list[str]]:
-    """Read one CSV file and return per-column value lists."""
+    """Read one CSV file and return per-column value lists.
+
+    Text that is not UTF-8 and a cell over csv's field size limit raise
+    :class:`SchemaMismatchError`; ``csv.field_size_limit`` is global to the
+    process, so the limit stays at its default.
+    """
     # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes.
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatchError(f"{where}: {path} is empty (no header row)") from None
-        if header != expect_columns:
-            raise SchemaMismatchError(
-                f"{where}: header of {path.name} is {header!r}, manifest declares {expect_columns!r}"
-            )
-        ncols = len(expect_columns)
-        grid: list[list[str]] = [[] for _ in range(ncols)]
-        for row in reader:
-            # A blank line is no row, as in csv.DictReader; save_catalog never writes one.
-            if not row:
-                continue
-            if len(row) > ncols:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaMismatchError(f"{where}: {path} is empty (no header row)")
+            if header != expect_columns:
                 raise SchemaMismatchError(
-                    f"{where}: {path.name} line {reader.line_num} has {len(row)} cells, expected at most {ncols}"
+                    f"{where}: header of {path.name} is {header!r}, manifest declares {expect_columns!r}"
                 )
-            row = row + [""] * (ncols - len(row))
-            for i, cell in enumerate(row):
-                grid[i].append(cell)
+            ncols = len(expect_columns)
+            grid: list[list[str]] = [[] for _ in range(ncols)]
+            for row in reader:
+                # A blank line is no row, as in csv.DictReader; save_catalog never writes one.
+                if not row:
+                    continue
+                if len(row) > ncols:
+                    raise SchemaMismatchError(
+                        f"{where}: {path.name} line {reader.line_num} has {len(row)} cells, expected at most {ncols}"
+                    )
+                row = row + [""] * (ncols - len(row))
+                for i, cell in enumerate(row):
+                    grid[i].append(cell)
+        except csv.Error as exc:
+            raise SchemaMismatchError(f"{where}: {path.name} line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise SchemaMismatchError(f"{where}: {path.name} is not UTF-8 text: {exc}") from exc
     return grid
 
 
@@ -236,11 +245,13 @@ def load_catalog(manifest_path: str | Path) -> Catalog:
     Raises
     ------
     ManifestParseError
-        Malformed JSON, missing fields, duplicate names, bad key shapes.
+        Malformed JSON (bytes that are not UTF-8 included), missing fields,
+        duplicate names, bad key shapes.
     MissingFileError
         A referenced CSV file does not exist.
     SchemaMismatchError
-        A CSV header or row does not match the declared columns.
+        A CSV header or row does not match the declared columns, or a CSV
+        file is not UTF-8 or holds a cell over the csv field size limit.
     DanglingForeignKeyError
         A foreign key references a table or column that does not exist,
         including primary keys naming unknown columns.
@@ -250,7 +261,7 @@ def load_catalog(manifest_path: str | Path) -> Catalog:
         raise MissingFileError(f"manifest not found: {manifest_path}")
     try:
         doc = json.loads(manifest_path.read_text(encoding="utf-8-sig"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ManifestParseError(f"manifest is not valid JSON: {exc}") from exc
 
     _require(isinstance(doc, dict), "manifest root must be an object")

@@ -211,8 +211,10 @@ def shortest_path(graph: JoinGraph, source: TableRef, target: TableRef) -> JoinP
     """Cheapest join path from ``source`` to ``target``, or ``None``.
 
     Dijkstra over non-negative edge weights.  Ties break on fewer hops,
-    then on the lexicographically smallest sequence of qualified table
-    names, so equal-cost graphs always yield the same path.
+    then on the smallest sequence of tables, each compared as its
+    ``(database, table)`` pair, so equal-cost graphs always yield the same
+    path.  That is not the order of the printed names when a name holds a
+    dot: ``a.z`` (database ``a``) comes before ``a.b.c`` (database ``a.b``).
     """
     if source not in graph.node_set:
         raise UnknownTableError(f"unknown table {source}")

@@ -7,9 +7,9 @@ foreign keys).  Each pair gets a weighted composite of three signals::
     total = alpha * name_sim + beta * semantic_sim + gamma * token_overlap
 
 where ``name_sim`` is the gestalt ratio of the raw column names,
-``semantic_sim`` is provider-embedding cosine, and ``token_overlap`` is the
-token-set overlap coefficient.  Pairs at or above ``column_threshold``
-move on to row-level validation.
+``semantic_sim`` is the cosine of their trigram embeddings, and
+``token_overlap`` is the token-set overlap coefficient.  Pairs at or above
+``column_threshold`` move on to row-level validation.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import Iterable, Iterator
 from . import similarity
 from .catalog import Catalog, ColumnRef
 from .errors import ConfigError
-from .similarity import SemanticProvider
 
 __all__ = [
     "ColumnMatch",
@@ -86,13 +85,14 @@ def load_config(path: str | Path) -> MatchConfig:
     """Read a :class:`MatchConfig` from a JSON file.
 
     The file holds a flat object; unknown keys are rejected, missing keys
-    keep their defaults.
+    keep their defaults.  A file that cannot be read, is not UTF-8 JSON or
+    holds a bad value raises :class:`ConfigError`.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
@@ -134,16 +134,11 @@ def candidate_pairs(catalog: Catalog) -> Iterator[tuple[ColumnRef, ColumnRef]]:
                     yield left, right
 
 
-def score_pair(
-    left: ColumnRef,
-    right: ColumnRef,
-    config: MatchConfig | None = None,
-    provider: SemanticProvider | None = None,
-) -> ColumnMatch:
+def score_pair(left: ColumnRef, right: ColumnRef, config: MatchConfig | None = None) -> ColumnMatch:
     """Score one column pair by name, semantics, and token overlap."""
     cfg = config or MatchConfig()
     name = similarity.gestalt_ratio(left.column, right.column)
-    sem = similarity.semantic_sim(left.column, right.column, provider)
+    sem = similarity.semantic_sim(left.column, right.column)
     tok = similarity.token_overlap(left.column, right.column)
     total = cfg.alpha * name + cfg.beta * sem + cfg.gamma * tok
     return ColumnMatch(

@@ -1,14 +1,13 @@
 """String-similarity primitives for column-name and row-value matching.
 
 Everything in this module is deterministic and self-contained: no model
-downloads and no network.  The only global state is the default provider
-instance and two bounded memos that never change a result: each
-:class:`TrigramProvider` keeps the vectors it has embedded together with
-their norms, and :func:`token_set` keeps token sets.  Column matching
-scores every pair over a few dozen distinct names, so each name is
-embedded and tokenised once.  :func:`gestalt_ratio` runs its own
-Ratcliff/Obershelp block matching with str substring search; difflib is
-not used.
+downloads and no network.  The only global state is two memos, both
+``functools.lru_cache(maxsize=_MEMO_LIMIT)``, that never change a result:
+:func:`token_set` keeps token sets and ``_embedding`` keeps each name's
+embedding with its norm.  Column matching scores every pair over a few
+dozen distinct names, so each name is embedded and tokenised once.
+:func:`gestalt_ratio` runs its own Ratcliff/Obershelp block matching with
+str substring search; difflib is not used.
 
 All similarity functions return floats in ``[0.0, 1.0]``.  All but
 :func:`gestalt_ratio` are symmetric in their two string arguments; the
@@ -17,11 +16,11 @@ gestalt ratio's block matching depends on which string comes first
 Column matching stays deterministic because ``candidate_pairs`` always
 puts the earlier database on the left.
 
-The semantic fallback is a hashed character-trigram embedding.  Before
+The semantic signal is a hashed character-trigram embedding.  Before
 hashing, tokens are passed through a small synonym lexicon so that domain
 terms different sources tend to disagree on ("hospital" vs "clinic",
-"medication" vs "drug") land on the same vector.  Callers who want a real
-embedding model can pass anything satisfying :class:`SemanticProvider`.
+"medication" vs "drug") land on the same vector.  The embedding is fixed:
+there is no model to plug in.
 """
 
 from __future__ import annotations
@@ -29,14 +28,12 @@ from __future__ import annotations
 import functools
 import re
 import zlib
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_SYNONYMS",
-    "SemanticProvider",
-    "TrigramProvider",
     "gestalt_ratio",
     "indel_ratio",
     "lcs_length",
@@ -56,8 +53,8 @@ _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 
 # Canonical forms for terms that independent data sources routinely name
 # differently.  Kept deliberately tiny: the point is not coverage but that
-# the built-in provider recognises obvious same-entity vocabulary without
-# pulling in a model.
+# the embedding behind semantic_sim recognises obvious same-entity
+# vocabulary without pulling in a model.
 DEFAULT_SYNONYMS: dict[str, str] = {
     "hospital": "clinic",
     "infirmary": "clinic",
@@ -366,102 +363,43 @@ def token_overlap(a: str, b: str) -> float:
     return len(ta & tb) / min(len(ta), len(tb))
 
 
-@runtime_checkable
-class SemanticProvider(Protocol):
-    """Anything that can embed a short string as a fixed-size real vector.
+# Buckets of the trigram embedding behind :func:`semantic_sim`.
+_EMBEDDING_DIMENSION = 256
 
-    Implementations must be deterministic for a given input and must return
-    vectors of the same ``dimension`` for every call; zero vectors are
-    allowed and are treated as "no semantic signal".
+
+@functools.lru_cache(maxsize=_MEMO_LIMIT)
+def _embedding(text: str) -> tuple[np.ndarray, float]:
+    """Hashed character-trigram embedding of ``text`` and its L2 norm.
+
+    ``text`` is tokenised as :func:`token_set` does, each token is mapped
+    through :data:`DEFAULT_SYNONYMS`, and the space-joined result is padded
+    with one space a side and sliced into character trigrams.  Each trigram
+    is hashed (CRC-32) into one of 256 buckets and the count vector is
+    L2-normalised.  Text under three characters after canonicalisation
+    gives the zero vector, since padding alone would manufacture signal.
+    Deterministic across processes and platforms.  The vector is shared
+    between callers, so it is read-only.
     """
-
-    dimension: int
-
-    def embed(self, text: str) -> np.ndarray:  # pragma: no cover - protocol
-        ...
-
-
-class TrigramProvider:
-    """Hashed character-trigram embeddings with synonym canonicalization.
-
-    The input is normalized, each token is mapped through the synonym
-    lexicon, and the result is padded and sliced into character trigrams.
-    Each trigram is hashed (CRC-32) into one of ``dimension`` buckets and
-    the count vector is L2-normalized.  Deterministic across processes and
-    platforms.
-
-    Each instance remembers the vectors it has returned, each with its
-    L2 norm, so a name is embedded once however many pairs it takes part
-    in.  The vectors are shared between callers and therefore read-only,
-    and ``synonyms`` must not change after the first call.
-    """
-
-    def __init__(
-        self,
-        dimension: int = 256,
-        synonyms: dict[str, str] | None = None,
-    ) -> None:
-        if dimension <= 0:
-            raise ValueError("dimension must be positive")
-        self.dimension = dimension
-        self.synonyms = DEFAULT_SYNONYMS if synonyms is None else dict(synonyms)
-        self._vectors: dict[str, tuple[np.ndarray, float]] = {}
-
-    def canonical_text(self, text: str) -> str:
-        """Normalized text with each token replaced by its canonical form."""
-        tokens = normalize(_CAMEL_BOUNDARY.sub(" ", text)).split()
-        return " ".join(self.synonyms.get(tok, tok) for tok in tokens)
-
-    def embed(self, text: str) -> np.ndarray:
-        return self._embed_with_norm(text)[0]
-
-    def _embed_with_norm(self, text: str) -> tuple[np.ndarray, float]:
-        entry = self._vectors.get(text)
-        if entry is None:
-            if len(self._vectors) >= _MEMO_LIMIT:
-                self._vectors.clear()
-            vec = self._embed_uncached(text)
-            vec.setflags(write=False)
-            entry = self._vectors[text] = (vec, float(np.linalg.norm(vec)))
-        return entry
-
-    def _embed_uncached(self, text: str) -> np.ndarray:
-        canon = self.canonical_text(text)
-        vec = np.zeros(self.dimension, dtype=np.float64)
-        if len(canon) < 3:
-            # Too short to form a trigram on its own; padding would
-            # manufacture signal out of nothing.
-            return vec
+    tokens = normalize(_CAMEL_BOUNDARY.sub(" ", text)).split()
+    canon = " ".join(DEFAULT_SYNONYMS.get(tok, tok) for tok in tokens)
+    vec = np.zeros(_EMBEDDING_DIMENSION, dtype=np.float64)
+    if len(canon) >= 3:
         padded = f" {canon} "
         for i in range(len(padded) - 2):
-            gram = padded[i : i + 3]
-            bucket = zlib.crc32(gram.encode("utf-8")) % self.dimension
+            bucket = zlib.crc32(padded[i : i + 3].encode("utf-8")) % _EMBEDDING_DIMENSION
             vec[bucket] += 1.0
-        norm = float(np.linalg.norm(vec))
-        if norm > 0.0:
-            vec /= norm
-        return vec
+        vec /= np.linalg.norm(vec)
+    vec.setflags(write=False)
+    return vec, float(np.linalg.norm(vec))
 
 
-_DEFAULT_PROVIDER = TrigramProvider()
+def semantic_sim(a: str, b: str) -> float:
+    """Cosine similarity of the names' trigram embeddings, clamped to ``[0, 1]``.
 
-
-def semantic_sim(a: str, b: str, provider: SemanticProvider | None = None) -> float:
-    """Cosine similarity of provider embeddings, clamped to ``[0, 1]``.
-
-    If either embedding is the zero vector the score is 0.0.  A plain
-    :class:`TrigramProvider` supplies the norms it stored with its vectors;
-    any other provider, a subclass included, has them computed here.
+    If either embedding is the zero vector the score is 0.0.
     """
-    prov = _DEFAULT_PROVIDER if provider is None else provider
-    if type(prov) is TrigramProvider:
-        va, na = prov._embed_with_norm(a)
-        vb, nb = prov._embed_with_norm(b)
-    else:
-        va = prov.embed(a)
-        vb = prov.embed(b)
-        na = float(np.linalg.norm(va))
-        nb = float(np.linalg.norm(vb))
+    va, na = _embedding(a)
+    vb, nb = _embedding(b)
     if na == 0.0 or nb == 0.0:
         return 0.0
     cos = float(np.dot(va, vb) / (na * nb))

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from joinscout import similarity
 from joinscout.catalog import TableRef, load_catalog
 from joinscout.cli import EXIT_OK, main
 from joinscout.fuzzgen import evaluate_discovery, generate_catalog, load_ground_truth
@@ -29,7 +30,6 @@ from joinscout.graph import (
 )
 from joinscout.matching import MatchConfig, candidate_pairs, filter_candidates, score_pair
 from joinscout.similarity import (
-    TrigramProvider,
     gestalt_ratio,
     indel_ratio,
     semantic_sim,
@@ -319,11 +319,14 @@ def test_criterion_6_similarity_suite(announce):
         assert token_sort_ratio("a", "a") == 1.0
         assert token_overlap("drug_name", "drug_name") == 1.0
         assert token_overlap("clinic_id", "drug_name") == 0.0
-        provider = TrigramProvider()
-        assert not np.any(provider.embed("x"))
-        assert np.array_equal(provider.embed("clinic"), provider.embed("clinic"))
-        assert semantic_sim("medication", "medication", provider) == 1.0
-        assert semantic_sim("ab", "cd", provider) == 0.0
+
+        def embed(text):
+            return similarity._embedding(text)[0]
+
+        assert not np.any(embed("x"))
+        assert np.array_equal(embed("clinic"), embed("clinic"))
+        assert semantic_sim("medication", "medication") == 1.0
+        assert semantic_sim("ab", "cd") == 0.0
 
         # Pre-computed oracles, to 1e-12.
         assert abs(gestalt_ratio("doctor_name", "assigned_doctor_name") - 22 / 31) <= 1e-12
@@ -338,10 +341,10 @@ def test_criterion_6_similarity_suite(announce):
             <= 1e-12
         )
         assert abs(token_overlap("doctor_name", "assigned_doctor_name") - 1.0) <= 1e-12
-        va = provider.embed("drug_name")
-        vb = provider.embed("medication_name")
+        va = embed("drug_name")
+        vb = embed("medication_name")
         cosine = float(np.dot(va, vb) / (np.linalg.norm(va) * np.linalg.norm(vb)))
-        assert abs(semantic_sim("drug_name", "medication_name", provider) - cosine) <= 1e-12
+        assert abs(semantic_sim("drug_name", "medication_name") - cosine) <= 1e-12
     except BaseException:
         announce(6, False, "a pinned similarity value drifted; see traceback")
         raise

@@ -124,6 +124,22 @@ def test_empty_csv_rejected(tmp_path):
         load_catalog(path)
 
 
+def test_oversized_cell_rejected(tmp_path):
+    # csv's default field size limit is 131,072 characters; the loader leaves
+    # it alone, since csv.field_size_limit is global to the process.
+    path = write_catalog_files(tmp_path, {"d": {"T": {"columns": ["a"], "rows": []}}})
+    (tmp_path / "d__T.csv").write_text("a\r\nx\r\n" + "y" * 131_073 + "\r\n", newline="")
+    with pytest.raises(SchemaMismatchError, match=r"d\.T: d__T\.csv line 3: field larger than field limit"):
+        load_catalog(path)
+
+
+def test_csv_that_is_not_utf8_rejected(tmp_path):
+    path = write_catalog_files(tmp_path, {"d": {"T": {"columns": ["a"], "rows": []}}})
+    (tmp_path / "d__T.csv").write_bytes(b"a\r\ncaf\xe9\r\n")
+    with pytest.raises(SchemaMismatchError, match=r"d__T\.csv is not UTF-8"):
+        load_catalog(path)
+
+
 def test_missing_manifest():
     with pytest.raises(MissingFileError):
         load_catalog("/nonexistent/manifest.json")
@@ -139,6 +155,13 @@ def test_missing_csv(tmp_path):
 def test_invalid_json(tmp_path):
     bad = tmp_path / "manifest.json"
     bad.write_text("{not json")
+    with pytest.raises(ManifestParseError, match="JSON"):
+        load_catalog(bad)
+
+
+def test_manifest_that_is_not_utf8_rejected(tmp_path):
+    bad = tmp_path / "manifest.json"
+    bad.write_bytes(b'{"databases": "caf\xe9"}')
     with pytest.raises(ManifestParseError, match="JSON"):
         load_catalog(bad)
 

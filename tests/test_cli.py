@@ -107,6 +107,19 @@ class TestDiscover:
         assert "finite" in capsys.readouterr().err
         assert not graph_out.exists()
 
+    def test_oversized_cell_is_a_data_error(self, tmp_path, capsys):
+        # Over csv's default field size limit of 131,072 characters.
+        (tmp_path / "T.csv").write_text("a\r\n" + "x" * 131_073 + "\r\n", newline="")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"databases": [{"name": "d", "tables": [{"name": "T", "file": "T.csv", "columns": ["a"]}]}]}
+        ))
+        code = main(["discover", str(manifest), "--graph-out", str(tmp_path / "g.json")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: d.T: T.csv line 2: field larger than field limit")
+        assert "Traceback" not in err
+
 
 def _two_table_graph(tmp_path: Path, left: TableRef, right: TableRef) -> str:
     """Write a graph of two tables joined by one fuzzy edge; return its path."""

@@ -226,13 +226,8 @@ class TestShortestPath:
 
     def test_tie_prefers_fewer_hops(self):
         a, b, c = (TableRef("d", t) for t in "ABC")
-        direct = _edge(a, c, s=0.25)                 # weight 2w'
-        graph = JoinGraph(
-            nodes=(a, b, c),
-            edges=(_edge(a, b, s=0.5), _edge(b, c, s=0.5), direct),
-        )
-        # 2 * w(0.5) vs w(0.25): not exactly equal because of epsilon, so
-        # force an exact tie with hand-made weights.
+        # 2 * w(0.5) vs w(0.25) is not an exact tie because of epsilon, so
+        # hand-made weights force one.
         e1 = JoinEdge(a, b, EdgeKind.FUZZY, (("x", "x"),), 0.5, 1.0)
         e2 = JoinEdge(b, c, EdgeKind.FUZZY, (("x", "x"),), 0.5, 1.0)
         e3 = JoinEdge(a, c, EdgeKind.FUZZY, (("x", "x"),), 0.25, 2.0)
@@ -253,6 +248,21 @@ class TestShortestPath:
         graph = JoinGraph(nodes=(a, m1, m2, z), edges=edges)
         path = shortest_path(graph, a, z)
         assert path.tables == (a, m1, z)
+
+    def test_tie_compares_database_then_table_not_printed_names(self):
+        # Printed, "a.b.c" sorts before "a.z"; as (database, table) pairs,
+        # ("a", "z") sorts before ("a.b", "c"), and that order decides.
+        s, t = TableRef("d", "S"), TableRef("d", "T")
+        via_z, via_c = TableRef("a", "z"), TableRef("a.b", "c")
+        assert str(via_c) < str(via_z) and via_z < via_c
+        edges = (
+            JoinEdge(s, via_c, EdgeKind.FUZZY, (("x", "x"),), 0.5, 1.0),
+            JoinEdge(via_c, t, EdgeKind.FUZZY, (("x", "x"),), 0.5, 1.0),
+            JoinEdge(s, via_z, EdgeKind.FUZZY, (("x", "x"),), 0.5, 1.0),
+            JoinEdge(via_z, t, EdgeKind.FUZZY, (("x", "x"),), 0.5, 1.0),
+        )
+        graph = JoinGraph(nodes=(s, via_c, via_z, t), edges=edges)
+        assert shortest_path(graph, s, t).tables == (s, via_z, t)
 
     def test_retained_matches_weight(self):
         graph, (a, b, c, d) = _simple_graph()

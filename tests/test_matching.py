@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+import zlib
 from difflib import SequenceMatcher
 
 import numpy as np
@@ -21,8 +23,9 @@ from joinscout.matching import (
 )
 from joinscout.fuzzgen import generate_catalog
 from joinscout.similarity import (
-    TrigramProvider,
+    DEFAULT_SYNONYMS,
     gestalt_ratio,
+    normalize,
     semantic_sim,
     token_overlap,
     token_set,
@@ -104,6 +107,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="read"):
             load_config(tmp_path / "absent.json")
 
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_bytes(b'{"seed": 1} \xff')
+        with pytest.raises(ConfigError, match="JSON"):
+            load_config(p)
+
 
 class TestCandidatePairs:
     def test_cross_database_only(self, memory_catalog):
@@ -165,46 +174,40 @@ class TestScorePair:
         m = score_pair(ColumnRef("a", "T", "code"), ColumnRef("b", "S", "code"))
         assert m.total_score == pytest.approx(1.0, abs=1e-12)
 
-    def test_custom_provider(self):
-        class Anti:
-            dimension = 2
-
-            def embed(self, text):
-                return np.array([1.0, 0.0]) if text.startswith("clinic") else np.array([0.0, 1.0])
-
-        m = score_pair(self.LEFT, self.RIGHT, provider=Anti())
-        assert m.semantic_sim == 0.0
-
-    def test_overriding_subclass_scores_with_computed_norms(self):
-        # Stored norms belong to the vectors TrigramProvider made; a subclass
-        # that embeds differently must have the norms of its own vectors.
-        class Flat(TrigramProvider):
-            def embed(self, text):
-                return np.full(self.dimension, 0.01)
-
-        m = score_pair(ColumnRef("a", "T", "drug_name"), ColumnRef("b", "S", "patient_id"),
-                       provider=Flat())
-        assert m.semantic_sim == pytest.approx(1.0, abs=1e-12)
-
     def test_memoised_scores_equal_uncached_primitives(self, tmp_path):
         # Each name is embedded and tokenised once per run and its norm is
         # stored; every score must still equal, bit for bit, one computed
         # from scratch: difflib for the name, and norms taken at call time.
-        class Fresh:
-            dimension = 256
-
-            def embed(self, text):
-                return TrigramProvider()._embed_uncached(text)
-
         catalog = generate_catalog(tmp_path, seed=0, scale=1)
         for left, right in candidate_pairs(catalog):
             a, b = left.column, right.column
             name = SequenceMatcher(None, a.lower(), b.lower(), autojunk=False).ratio()
-            sem = semantic_sim(a, b, Fresh())
+            va, vb = reference_embedding(a), reference_embedding(b)
+            na, nb = float(np.linalg.norm(va)), float(np.linalg.norm(vb))
+            cos = float(np.dot(va, vb) / (na * nb)) if na and nb else 0.0
+            sem = min(1.0, max(0.0, cos))
             ta, tb = token_set.__wrapped__(a), token_set.__wrapped__(b)
             tok = len(ta & tb) / min(len(ta), len(tb)) if ta and tb else 0.0
             total = 0.4 * name + 0.3 * sem + 0.3 * tok
             assert score_pair(left, right) == ColumnMatch(left, right, name, sem, tok, total)
+
+
+def reference_embedding(text: str) -> np.ndarray:
+    """The trigram embedding written out plainly, with no memo: split on
+    camelCase and non-alphanumerics, map tokens through the synonyms, pad
+    with one space a side, hash each trigram into 256 buckets, normalise."""
+    tokens = normalize(re.sub(r"(?<=[a-z0-9])(?=[A-Z])", " ", text)).split()
+    canon = " ".join(DEFAULT_SYNONYMS.get(tok, tok) for tok in tokens)
+    vec = np.zeros(256, dtype=np.float64)
+    if len(canon) < 3:
+        return vec
+    padded = f" {canon} "
+    for i in range(len(padded) - 2):
+        vec[zlib.crc32(padded[i : i + 3].encode("utf-8")) % 256] += 1.0
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
 
 
 def _match(total: float, tag: str = "x") -> ColumnMatch:

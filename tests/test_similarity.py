@@ -20,8 +20,6 @@ from joinscout.fuzzgen import generate_catalog
 from joinscout.matching import candidate_pairs
 from joinscout.similarity import (
     DEFAULT_SYNONYMS,
-    SemanticProvider,
-    TrigramProvider,
     gestalt_ratio,
     indel_ratio,
     lcs_length,
@@ -370,48 +368,46 @@ class TestTokenOverlap:
 
 
 class TestTrigramProvider:
-    def test_satisfies_protocol(self):
-        assert isinstance(TrigramProvider(), SemanticProvider)
+    """The fixed trigram embedding behind ``semantic_sim``: ``_embedding``."""
 
     def test_unit_norm(self):
-        vec = TrigramProvider().embed("clinic_name")
+        vec, norm = similarity._embedding("clinic_name")
         assert vec.shape == (256,)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        assert norm == float(np.linalg.norm(vec))
 
     def test_empty_is_zero_vector(self):
-        assert not TrigramProvider().embed("").any()
+        # Under three characters after canonicalisation there is no trigram.
+        for text in ("", "x", "ab", "_a_", "--"):
+            vec, norm = similarity._embedding(text)
+            assert not vec.any() and norm == 0.0
 
     def test_deterministic(self):
-        a = TrigramProvider().embed("hospital_name")
-        b = TrigramProvider().embed("hospital_name")
-        assert np.array_equal(a, b)
+        # CRC-32 buckets of " dr", "dru", "rug", "ug ", "g i", " id", "id ":
+        # the same in every process and on every platform.
+        vec = similarity._embedding("drug_id")[0]
+        assert np.flatnonzero(vec).tolist() == [1, 41, 65, 93, 100, 214, 233]
+        assert np.allclose(vec[vec > 0], 7 ** -0.5, rtol=0, atol=1e-15)
 
     def test_synonyms_canonicalize(self):
-        prov = TrigramProvider()
-        assert prov.canonical_text("hospital_name") == "clinic name"
-        assert prov.canonical_text("medication list") == "drug list"
-
-    def test_synonyms_can_be_disabled(self):
-        plain = TrigramProvider(synonyms={})
-        assert plain.canonical_text("hospital_name") == "hospital name"
-        # With canonicalization the pair embeds identically; without, it must not.
+        # Each token is replaced by its canonical form before hashing.
+        for text, canonical in (("hospital_name", "clinic name"), ("medicationList", "drug list")):
+            assert np.array_equal(similarity._embedding(text)[0], similarity._embedding(canonical)[0])
         assert semantic_sim("hospital_name", "clinic_name") == pytest.approx(1.0)
-        assert semantic_sim("hospital_name", "clinic_name", plain) < 0.9
 
     def test_cached_vector_equals_fresh_and_is_read_only(self):
-        prov = TrigramProvider()
-        cached = prov.embed("hospital_name")
-        assert prov.embed("hospital_name") is cached
-        assert np.array_equal(cached, TrigramProvider().embed("hospital_name"))
+        cached = similarity._embedding("hospital_name")[0]
+        assert similarity._embedding("hospital_name")[0] is cached
+        assert np.array_equal(cached, similarity._embedding.__wrapped__("hospital_name")[0])
         with pytest.raises(ValueError):
             cached[0] = 1.0
 
     def test_cache_stays_within_its_bound(self):
-        prov = TrigramProvider()
         for i in range(similarity._MEMO_LIMIT + 10):
-            prov.embed(f"column_{i}")
-        assert len(prov._vectors) <= similarity._MEMO_LIMIT
-        assert np.array_equal(prov.embed("column_0"), TrigramProvider().embed("column_0"))
+            similarity._embedding(f"column_{i}")
+        info = similarity._embedding.cache_info()
+        assert info.maxsize == similarity._MEMO_LIMIT
+        assert info.currsize <= similarity._MEMO_LIMIT
 
     def test_default_lexicon_is_small_and_lowercase(self):
         for k, v in DEFAULT_SYNONYMS.items():
@@ -432,16 +428,6 @@ class TestSemanticSim:
     @settings(max_examples=60)
     def test_range(self, a, b):
         assert 0.0 <= semantic_sim(a, b) <= 1.0
-
-    def test_custom_provider(self):
-        class Fixed:
-            dimension = 3
-
-            def embed(self, text: str) -> np.ndarray:
-                return np.ones(3) if text else np.zeros(3)
-
-        assert semantic_sim("x", "y", Fixed()) == pytest.approx(1.0)
-        assert semantic_sim("", "y", Fixed()) == 0.0
 
 
 def test_weight_identity_spot_check():
