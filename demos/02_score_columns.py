@@ -8,7 +8,10 @@ other database.  Three signals are blended:
         + 0.3 * token overlap    (shared tokens / smaller token set)
 
 Only pairs at or above the column threshold (0.6) move on to row-level
-validation.  Run 01_generate_catalog.py first.
+validation.  candidate_pairs yields only the pairs whose score can reach
+that threshold: a cheap upper bound (difflib's quick_ratio in place of the
+gestalt ratio) rules out the rest without scoring them, and never rules out
+a pair that would pass.  Run 01_generate_catalog.py first.
 """
 
 from pathlib import Path
@@ -22,13 +25,15 @@ def main() -> None:
     catalog = load_catalog(CATALOG)
     config = MatchConfig()
 
-    pairs = list(candidate_pairs(catalog))
-    print(f"{len(pairs)} cross-database column pairs to score")
+    # A threshold of 0 rules nothing out, so this counts every pair.
+    every = sum(1 for _ in candidate_pairs(catalog, MatchConfig(column_threshold=0.0)))
+    pairs = list(candidate_pairs(catalog, config))
+    print(f"{len(pairs)} of {every} cross-database pairs can reach the threshold")
 
     scored = [score_pair(left, right, config) for left, right in pairs]
     scored.sort(key=lambda m: -m.total_score)
 
-    print(f"\ntop 10 by composite score (threshold {config.column_threshold}):\n")
+    print(f"\ntop 10 of those by composite score (threshold {config.column_threshold}):\n")
     print(f"{'left':<42} {'right':<46} {'name':>5} {'sem':>5} {'tok':>5} {'total':>6}")
     for m in scored[:10]:
         marker = "*" if m.total_score >= config.column_threshold else " "

@@ -30,7 +30,7 @@ CATALOG = Path(__file__).parent / "output" / "catalog" / "manifest.json"
 def main() -> None:
     catalog = load_catalog(CATALOG)
     config = MatchConfig()
-    scored = (score_pair(l, r, config) for l, r in candidate_pairs(catalog))
+    scored = (score_pair(l, r, config) for l, r in candidate_pairs(catalog, config))
     candidates = filter_candidates(scored, config)
 
     print(f"validating {len(candidates)} candidates at row level:\n")

@@ -36,7 +36,7 @@ CATALOG = HERE / "output" / "catalog" / "manifest.json"
 def main() -> None:
     catalog = load_catalog(CATALOG)
     config = MatchConfig()
-    scored = (score_pair(l, r, config) for l, r in candidate_pairs(catalog))
+    scored = (score_pair(l, r, config) for l, r in candidate_pairs(catalog, config))
     validated = validate_many(filter_candidates(scored, config), catalog, config)
     graph = build_graph(catalog, validated, config)
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .catalog import TableRef, load_catalog
-from .errors import JoinScoutError, UnknownTableError
+from .errors import GraphFormatError, JoinScoutError, UnknownTableError
 from .executor import execute_path, write_csv
 from .fuzzgen import MAX_SCALE, generate_catalog
 from .graph import (
@@ -135,6 +135,16 @@ def _find_path(graph: JoinGraph, source_text: str, target_text: str) -> JoinPath
     return path
 
 
+def _read_graph(path: str) -> JoinGraph:
+    """The join graph in the file at ``path``; a file that is not UTF-8
+    raises :class:`GraphFormatError` naming it."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"graph file {path} is not UTF-8 text: {exc}") from exc
+    return graph_from_json(text)
+
+
 def _load_match_config(path: str | None) -> MatchConfig:
     return load_config(path) if path else MatchConfig()
 
@@ -162,7 +172,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_discover(args: argparse.Namespace) -> int:
     config = _load_match_config(args.config)
     catalog = load_catalog(args.manifest)
-    scored = (score_pair(l, r, config) for l, r in candidate_pairs(catalog))
+    scored = (score_pair(l, r, config) for l, r in candidate_pairs(catalog, config))
     candidates = filter_candidates(scored, config)
     print(f"{len(candidates)} candidate column pair(s) above threshold "
           f"{config.column_threshold}")
@@ -182,7 +192,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
 
 def cmd_path(args: argparse.Namespace) -> int:
-    graph = graph_from_json(Path(args.graph).read_text(encoding="utf-8"))
+    graph = _read_graph(args.graph)
     path = _find_path(graph, args.source, args.target)
     if path is None:
         return EXIT_NO_PATH
@@ -191,7 +201,7 @@ def cmd_path(args: argparse.Namespace) -> int:
 
 
 def cmd_join(args: argparse.Namespace) -> int:
-    graph = graph_from_json(Path(args.graph).read_text(encoding="utf-8"))
+    graph = _read_graph(args.graph)
     config = _load_match_config(args.config)
     catalog = load_catalog(args.manifest)
     path = _find_path(graph, args.source, args.target)
@@ -209,7 +219,7 @@ def cmd_join(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    graph = graph_from_json(Path(args.graph).read_text(encoding="utf-8"))
+    graph = _read_graph(args.graph)
     dot = export_dot(graph)
     if args.out == "-":
         sys.stdout.write(dot)

@@ -4,10 +4,11 @@ Everything in this module is deterministic and self-contained: no model
 downloads and no network.  The only global state is two memos, both
 ``functools.lru_cache(maxsize=_MEMO_LIMIT)``, that never change a result:
 :func:`token_set` keeps token sets and ``_embedding`` keeps each name's
-embedding with its norm.  Column matching scores every pair over a few
+embedding with its norm.  Column matching bounds every pair over a few
 dozen distinct names, so each name is embedded and tokenised once.
-:func:`gestalt_ratio` runs its own Ratcliff/Obershelp block matching with
-str substring search; difflib is not used.
+:func:`gestalt_ratio` is difflib's ``SequenceMatcher`` ratio on the
+case-folded names; column matching runs it only on the pairs whose score
+bound reaches the threshold.
 
 All similarity functions return floats in ``[0.0, 1.0]``.  All but
 :func:`gestalt_ratio` are symmetric in their two string arguments; the
@@ -28,6 +29,7 @@ from __future__ import annotations
 import functools
 import re
 import zlib
+from difflib import SequenceMatcher
 from typing import Sequence
 
 import numpy as np
@@ -76,46 +78,11 @@ def gestalt_ratio(a: str, b: str) -> float:
     """Gestalt (Ratcliff/Obershelp) similarity of two strings, case-folded.
 
     This is ``2 * M / (len(a) + len(b))`` where M counts characters in
-    recursively matched longest common blocks.  Two empty strings score 1.0.
-    It equals ``difflib.SequenceMatcher(None, a.lower(), b.lower(),
-    autojunk=False).ratio()`` bit for bit, ties included: of the longest
-    blocks, the one starting earliest in ``a``, then earliest in ``b``.
-
-    Each window of ``a`` and ``b`` finds its longest block by a grow-and-slide
-    scan: while ``a[i:i + k]`` occurs in the window of ``b``, it is the best
-    block so far and ``k`` grows by one; otherwise no block of length ``k``
-    starts at ``i`` and ``i`` moves on.  So the scan ends on the longest
-    length with the first ``i`` that has a block of it, and ``str.find``
-    gives that block's first position in ``b``.  Without junk, difflib's
-    block extension never fires, and its sort and merging of adjacent blocks
-    do not change the sum, so all three are left out.
+    recursively matched longest common blocks; two empty strings score 1.0.
+    It is difflib's ratio with autojunk off, so names of 200 or more
+    characters keep their popular characters.
     """
-    a = a.lower()
-    b = b.lower()
-    total = len(a) + len(b)
-    if not total:
-        return 1.0
-    matched = 0
-    queue = [(0, len(a), 0, len(b))]
-    while queue:
-        alo, ahi, blo, bhi = queue.pop()
-        window = b[blo:bhi]
-        besti = size = 0
-        i, k = alo, 1
-        while i + k <= ahi:
-            if a[i : i + k] in window:
-                besti, size = i, k
-                k += 1
-            else:
-                i += 1
-        if size:
-            matched += size
-            bestj = blo + window.find(a[besti : besti + size])
-            if alo < besti and blo < bestj:
-                queue.append((alo, besti, blo, bestj))
-            if besti + size < ahi and bestj + size < bhi:
-                queue.append((besti + size, ahi, bestj + size, bhi))
-    return 2.0 * matched / total
+    return SequenceMatcher(None, a.lower(), b.lower(), autojunk=False).ratio()
 
 
 def lcs_length(a: str, b: str) -> int:

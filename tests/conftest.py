@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from joinscout.catalog import Catalog, Column, Database, ForeignKey, Table
+from joinscout.catalog import Catalog, Column, ColumnRef, Database, ForeignKey, Table
 
 
 def write_catalog_files(root: Path, layout: dict) -> Path:
@@ -36,6 +36,23 @@ def write_catalog_files(root: Path, layout: dict) -> Path:
     path = root / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
     return path
+
+
+def cross_database_pairs(catalog: Catalog) -> list[tuple[ColumnRef, ColumnRef]]:
+    """Every cross-database column pair, written as plain nested loops:
+    database i before database j > i, then left table and column, then
+    right table and column, each in catalog order.  ``candidate_pairs``
+    yields a subsequence of this list."""
+    dbs = catalog.databases
+    return [
+        (ColumnRef(ldb.name, ltab.name, lcol.name), ColumnRef(rdb.name, rtab.name, rcol.name))
+        for i, ldb in enumerate(dbs)
+        for rdb in dbs[i + 1 :]
+        for ltab in ldb.tables
+        for lcol in ltab.columns
+        for rtab in rdb.tables
+        for rcol in rtab.columns
+    ]
 
 
 def make_table(name: str, columns: dict[str, list[str]], pk=None, fks=()) -> Table:

@@ -275,7 +275,7 @@ def test_criterion_5_fuzzy_edge_recovery(tmp_path, announce):
             out = tmp_path / f"seed{seed}"
             catalog = generate_catalog(out, seed=seed)
             scored = (
-                score_pair(l, r, config) for l, r in candidate_pairs(catalog)
+                score_pair(l, r, config) for l, r in candidate_pairs(catalog, config)
             )
             validated = validate_many(
                 filter_candidates(scored, config), catalog, config

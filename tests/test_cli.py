@@ -132,6 +132,17 @@ def _two_table_graph(tmp_path: Path, left: TableRef, right: TableRef) -> str:
     return str(path)
 
 
+def _graph_that_is_not_utf8(workspace, tmp_path: Path) -> Path:
+    """The workspace graph with one 0xff byte, which UTF-8 never holds."""
+    path = tmp_path / "not_utf8.json"
+    path.write_bytes(workspace["graph"].read_bytes().replace(b"{", b"{\xff", 1))
+    return path
+
+
+def _assert_names_the_graph_file(path: Path, err: str) -> None:
+    assert f"graph file {path} is not UTF-8" in err, err
+
+
 class TestPath:
     def test_doctor_to_survey_via_clinics(self, workspace, capsys):
         code = main(
@@ -199,6 +210,11 @@ class TestPath:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken", encoding="utf-8")
         assert main(["path", str(bad), "A", "B"]) == EXIT_DATA
+
+    def test_graph_file_that_is_not_utf8(self, workspace, tmp_path, capsys):
+        graph = _graph_that_is_not_utf8(workspace, tmp_path)
+        assert main(["path", str(graph), "Doctors", "Hospital_Survey"]) == EXIT_DATA
+        _assert_names_the_graph_file(graph, capsys.readouterr().err)
 
     def test_graph_file_without_epsilon(self, workspace, tmp_path, capsys):
         doc = json.loads(workspace["graph"].read_text(encoding="utf-8"))
@@ -315,6 +331,14 @@ class TestJoin:
         assert code == EXIT_DATA
         assert "'nope'" in capsys.readouterr().err
 
+    def test_graph_file_that_is_not_utf8(self, workspace, tmp_path, capsys):
+        graph = _graph_that_is_not_utf8(workspace, tmp_path)
+        code = main(
+            ["join", str(graph), str(workspace["manifest"]), "Doctors", "Hospital_Survey"]
+        )
+        assert code == EXIT_DATA
+        _assert_names_the_graph_file(graph, capsys.readouterr().err)
+
 
 class TestGraphCommand:
     def test_dot_to_stdout(self, workspace, capsys):
@@ -329,6 +353,11 @@ class TestGraphCommand:
         text = out_dot.read_text(encoding="utf-8")
         assert text.count("{") == text.count("}")
         assert "style=dashed" in text
+
+    def test_graph_file_that_is_not_utf8(self, workspace, tmp_path, capsys):
+        graph = _graph_that_is_not_utf8(workspace, tmp_path)
+        assert main(["graph", str(graph)]) == EXIT_DATA
+        _assert_names_the_graph_file(graph, capsys.readouterr().err)
 
 
 class TestUsageErrors:

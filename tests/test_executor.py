@@ -468,7 +468,7 @@ def generated(tmp_path_factory):
     reachable ordered table pairs, discovered with the default config."""
     catalog = generate_catalog(tmp_path_factory.mktemp("generated"), seed=0, scale=1)
     cfg = MatchConfig()
-    scored = (score_pair(l, r, cfg) for l, r in candidate_pairs(catalog))
+    scored = (score_pair(l, r, cfg) for l, r in candidate_pairs(catalog, cfg))
     validated = validate_many(filter_candidates(scored, cfg), catalog, cfg)
     graph = build_graph(catalog, validated, cfg)
     refs = sorted({e.left for e in graph.edges} | {e.right for e in graph.edges}, key=str)

@@ -10,8 +10,12 @@ from difflib import SequenceMatcher
 
 import numpy as np
 import pytest
+from conftest import cross_database_pairs, make_table
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from joinscout.catalog import ColumnRef
+from joinscout import matching
+from joinscout.catalog import Catalog, ColumnRef, Database
 from joinscout.errors import ConfigError
 from joinscout.matching import (
     ColumnMatch,
@@ -115,36 +119,109 @@ class TestLoadConfig:
 
 
 class TestCandidatePairs:
+    # A threshold of 0 rules nothing out: every bound is at least 0.
+    EVERY = MatchConfig(column_threshold=0.0)
+
     def test_cross_database_only(self, memory_catalog):
-        pairs = list(candidate_pairs(memory_catalog))
+        pairs = list(candidate_pairs(memory_catalog, self.EVERY))
         assert all(l.database != r.database for l, r in pairs)
         # alpha has 2 + 3 columns, beta has 2 -> 10 cross pairs.
         assert len(pairs) == 10
 
     def test_left_side_is_earlier_database(self, memory_catalog):
         assert all(l.database == "alpha" and r.database == "beta"
-                   for l, r in candidate_pairs(memory_catalog))
+                   for l, r in candidate_pairs(memory_catalog, self.EVERY))
 
     def test_each_unordered_pair_once(self, memory_catalog):
-        pairs = list(candidate_pairs(memory_catalog))
+        pairs = list(candidate_pairs(memory_catalog, self.EVERY))
         assert len({frozenset(p) for p in pairs}) == len(pairs)
 
     def test_order_equals_nested_loops(self, tmp_path):
-        # Reference: database i before database j > i, then left column,
-        # then right table and column, each in catalog order.
         catalog = generate_catalog(tmp_path, seed=3, scale=1)
-        dbs = catalog.databases
-        expected = [
-            (ColumnRef(ldb.name, ltab.name, lcol.name), ColumnRef(rdb.name, rtab.name, rcol.name))
-            for i, ldb in enumerate(dbs)
-            for rdb in dbs[i + 1 :]
-            for ltab in ldb.tables
-            for lcol in ltab.columns
-            for rtab in rdb.tables
-            for rcol in rtab.columns
-        ]
+        expected = cross_database_pairs(catalog)
         assert len(expected) == 1095
-        assert list(candidate_pairs(catalog)) == expected
+        assert list(candidate_pairs(catalog, self.EVERY)) == expected
+        # At the default threshold the bound rules out every pair that
+        # does not reach it on this catalog.
+        reach = [p for p in expected if score_pair(*p).total_score >= 0.6]
+        assert len(reach) == 8
+        assert list(candidate_pairs(catalog)) == reach
+
+    CONFIGS = [
+        MatchConfig(),
+        MatchConfig(alpha=1.0, beta=0.0, gamma=0.0),
+        MatchConfig(column_threshold=0.3),
+        MatchConfig(alpha=0.2, beta=0.5, gamma=0.3, column_threshold=0.45),
+    ]
+
+    @pytest.mark.parametrize(
+        "scale,seeds", [(1, range(12)), (4, range(4)), (13, range(1))], ids=["1", "4", "13"]
+    )
+    def test_pruned_equals_all_pairs(self, tmp_path, scale, seeds):
+        for seed in seeds:
+            catalog = generate_catalog(tmp_path / str(seed), seed=seed, scale=scale)
+            every = cross_database_pairs(catalog)
+            for cfg in self.CONFIGS:
+                pruned = list(candidate_pairs(catalog, cfg))
+                want = filter_candidates((score_pair(l, r, cfg) for l, r in every), cfg)
+                got = filter_candidates((score_pair(l, r, cfg) for l, r in pruned), cfg)
+                assert got == want, (seed, cfg)
+                assert len(pruned) < len(every), (seed, cfg)
+
+    def test_empty_catalog(self):
+        assert list(candidate_pairs(Catalog(databases=()))) == []
+
+
+# Names that stress the bound: mixed case, "İ" (two characters once
+# lowercased), digits only, single characters, separators only, the empty
+# name, and synonyms that make semantic_sim 1 between different spellings.
+NAMES = st.one_of(
+    st.text(alphabet="aAbBiIİ_ -019", min_size=1, max_size=12),
+    st.text(alphabet="0123456789", min_size=1, max_size=4),
+    st.sampled_from(["", "x", "İ", "i", "_", "patient_id", "citizen_ID", "clinicName",
+                     "hospital_name", "drug_name", "medication_name", "Drug", "id"]),
+)
+
+
+@st.composite
+def weighted_configs(draw):
+    """A MatchConfig with random non-negative weights that sum to 1."""
+    parts = draw(st.lists(st.integers(0, 10), min_size=3, max_size=3).filter(any))
+    alpha, beta, gamma = (part / sum(parts) for part in parts)
+    return MatchConfig(alpha=alpha, beta=beta, gamma=gamma)
+
+
+class TestScoreBound:
+    @given(st.lists(NAMES, min_size=1, max_size=8), weighted_configs())
+    @settings(max_examples=300, deadline=None)
+    def test_bound_is_at_least_the_exact_total(self, names, cfg):
+        bound = matching._score_bound(names, cfg)
+        for i, a in enumerate(names):
+            for j, b in enumerate(names):
+                exact = score_pair(ColumnRef("l", "T", a), ColumnRef("r", "S", b), cfg)
+                assert bound[i, j] >= exact.total_score, (a, b)
+
+    @given(
+        st.lists(NAMES, min_size=1, max_size=6, unique=True),
+        st.lists(NAMES, min_size=1, max_size=6, unique=True),
+        weighted_configs(),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_threshold_at_a_pairs_exact_total_keeps_it(self, lefts, rights, weights, data):
+        catalog = Catalog(databases=(
+            Database("l", (make_table("T", {name: ["v"] for name in lefts}),)),
+            Database("r", (make_table("S", {name: ["v"] for name in rights}),)),
+        ))
+        every = cross_database_pairs(catalog)
+        pair = data.draw(st.sampled_from(every))
+        total = score_pair(*pair, weights).total_score
+        cfg = dataclasses.replace(weights, column_threshold=min(total, 1.0))
+        pruned = list(candidate_pairs(catalog, cfg))
+        assert pair in pruned
+        assert pruned == [p for p in every if p in pruned]
+        want = filter_candidates((score_pair(l, r, cfg) for l, r in every), cfg)
+        assert filter_candidates((score_pair(l, r, cfg) for l, r in pruned), cfg) == want
 
 
 class TestScorePair:
@@ -179,7 +256,7 @@ class TestScorePair:
         # stored; every score must still equal, bit for bit, one computed
         # from scratch: difflib for the name, and norms taken at call time.
         catalog = generate_catalog(tmp_path, seed=0, scale=1)
-        for left, right in candidate_pairs(catalog):
+        for left, right in cross_database_pairs(catalog):
             a, b = left.column, right.column
             name = SequenceMatcher(None, a.lower(), b.lower(), autojunk=False).ratio()
             va, vb = reference_embedding(a), reference_embedding(b)

@@ -365,7 +365,7 @@ def test_validate_many_equals_public_scores_on_catalogs(tmp_path, scale):
     cfg = MatchConfig()
     for seed in range(12):
         catalog = generate_catalog(tmp_path / str(seed), seed=seed, scale=scale)
-        scored = (score_pair(l, r, cfg) for l, r in candidate_pairs(catalog))
+        scored = (score_pair(l, r, cfg) for l, r in candidate_pairs(catalog, cfg))
         candidates = filter_candidates(scored, cfg)
         expected = []
         for match in sorted(candidates, key=lambda m: (m.left, m.right)):
