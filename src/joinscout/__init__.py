@@ -17,7 +17,9 @@ truth for benchmarking, and :mod:`joinscout.cli` wires everything into a
 command-line pipeline.
 
 Every name in a library module's ``__all__`` is also importable from the
-package itself; :mod:`joinscout.cli` is not re-exported.
+package itself; :mod:`joinscout.cli` is not re-exported.  ``__all__`` is the
+public API.  A name without a leading underscore that is not in ``__all__``
+is shared with sibling modules and tests; a ``_`` name stays in its module.
 """
 
 from . import catalog, errors, executor, fuzzgen, graph, matching, similarity, validation

@@ -201,8 +201,8 @@ def _parse_foreign_key(raw: object, where: str) -> ForeignKey:
     return ForeignKey(columns=columns, ref_table=ref_table, ref_columns=ref_columns)  # type: ignore[arg-type]
 
 
-def _read_csv_table(path: Path, expect_columns: list[str], where: str) -> list[list[str]]:
-    """Read one CSV file and return per-column value lists.
+def _read_csv_table(path: Path, expect_columns: list[str], where: str) -> list[tuple[str, ...]]:
+    """Read one CSV file and return per-column value tuples.
 
     Text that is not UTF-8 and a cell over csv's field size limit raise
     :class:`SchemaMismatchError`; ``csv.field_size_limit`` is global to the
@@ -220,7 +220,7 @@ def _read_csv_table(path: Path, expect_columns: list[str], where: str) -> list[l
                     f"{where}: header of {path.name} is {header!r}, manifest declares {expect_columns!r}"
                 )
             ncols = len(expect_columns)
-            grid: list[list[str]] = [[] for _ in range(ncols)]
+            rows: list[list[str]] = []
             for row in reader:
                 # A blank line is no row, as in csv.DictReader; save_catalog never writes one.
                 if not row:
@@ -229,14 +229,12 @@ def _read_csv_table(path: Path, expect_columns: list[str], where: str) -> list[l
                     raise SchemaMismatchError(
                         f"{where}: {path.name} line {reader.line_num} has {len(row)} cells, expected at most {ncols}"
                     )
-                row = row + [""] * (ncols - len(row))
-                for i, cell in enumerate(row):
-                    grid[i].append(cell)
+                rows.append(row + [""] * (ncols - len(row)))
         except csv.Error as exc:
             raise SchemaMismatchError(f"{where}: {path.name} line {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise SchemaMismatchError(f"{where}: {path.name} is not UTF-8 text: {exc}") from exc
-    return grid
+    return list(zip(*rows)) if rows else [()] * ncols
 
 
 def load_catalog(manifest_path: str | Path) -> Catalog:
@@ -325,7 +323,7 @@ def load_catalog(manifest_path: str | Path) -> Catalog:
                 _require(isinstance(raw_fks, list), f"{where}: 'foreign_keys' must be a list")
                 fks = [_parse_foreign_key(raw_fk, where) for raw_fk in raw_fks]
 
-            columns = tuple(Column(name, tuple(vals)) for name, vals in zip(raw_columns, grid))
+            columns = tuple(Column(name, vals) for name, vals in zip(raw_columns, grid))
             tables.append(
                 Table(
                     name=tab_name,

@@ -34,7 +34,6 @@ __all__ = [
     "JoinGraph",
     "JoinPath",
     "build_graph",
-    "edge_weight",
     "export_dot",
     "graph_from_json",
     "graph_to_json",
@@ -143,6 +142,13 @@ def _fk_key_sets(catalog: Catalog, ref: TableRef, columns: Sequence[str]) -> fro
     return frozenset(key for key in zip(*cols) if all(part for part in key))
 
 
+def _oriented(left: TableRef, right: TableRef, pairs: tuple) -> tuple[TableRef, TableRef, tuple]:
+    """The two endpoints in sorted order, with each column pair flipped to match."""
+    if right < left:
+        return right, left, tuple((r, l) for l, r in pairs)
+    return left, right, pairs
+
+
 def build_graph(
     catalog: Catalog,
     validated: Iterable[ValidationResult] = (),
@@ -166,11 +172,7 @@ def build_graph(
     ] = {}
 
     for src, dst, col_pairs in fk_edges(catalog):
-        left, right = src, dst
-        pairs = tuple(col_pairs)
-        if right < left:
-            left, right = right, left
-            pairs = tuple((r, l) for l, r in pairs)
+        left, right, pairs = _oriented(src, dst, tuple(col_pairs))
         s = _classical_jaccard(
             _fk_key_sets(catalog, left, [l for l, _ in pairs]),
             _fk_key_sets(catalog, right, [r for _, r in pairs]),
@@ -178,14 +180,9 @@ def build_graph(
         grouped.setdefault((left, right, EdgeKind.FK), []).append((s, pairs, None))
 
     for result in validated:
-        match = result.match
-        left_ref = match.left.table_ref
-        right_ref = match.right.table_ref
-        pairs = ((match.left.column, match.right.column),)
-        if right_ref < left_ref:
-            left_ref, right_ref = right_ref, left_ref
-            pairs = ((match.right.column, match.left.column),)
-        grouped.setdefault((left_ref, right_ref, EdgeKind.FUZZY), []).append(
+        a, b = result.match.left, result.match.right
+        left, right, pairs = _oriented(a.table_ref, b.table_ref, ((a.column, b.column),))
+        grouped.setdefault((left, right, EdgeKind.FUZZY), []).append(
             (result.overlap_s, pairs, result.value_score)
         )
 

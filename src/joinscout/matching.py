@@ -15,10 +15,10 @@ Scoring is filter-and-verify (Xiao et al., "PPJoin", WWW 2008; Chaudhuri,
 Ganti & Kaushik, ICDE 2006).  :func:`candidate_pairs` computes a cheap upper
 bound on ``total`` for every pair of distinct names and yields only the
 pairs whose bound reaches ``column_threshold``; :func:`score_pair`, the one
-exact scorer, then runs on those alone.  The bound swaps ``name_sim`` for
-difflib's ``quick_ratio``, ``2 * |common characters| / (|a| + |b|)``,
-which no gestalt ratio exceeds, and keeps the other two signals exact, so
-no pair that reaches the threshold is left out.
+exact scorer, then runs on those alone.  The bound, from
+:func:`similarity.name_signal_bounds`, swaps ``name_sim`` for difflib's
+``quick_ratio``, which no gestalt ratio exceeds, and keeps the other two
+signals exact, so no pair that reaches the threshold is left out.
 """
 
 from __future__ import annotations
@@ -164,58 +164,11 @@ _BOUND_SLACK = 1e-9
 
 
 def _score_bound(names: list[str], cfg: MatchConfig) -> np.ndarray:
-    """An upper bound on ``score_pair``'s ``total_score`` for every pair of
-    ``names``, as a ``(U, U)`` array.
-
-    ``name_sim`` is bounded by ``quick_ratio``: the characters of the matched
-    blocks are common to both names, so they are at most the multiset
-    intersection of the two names' characters, in either argument order.
-    Lengths come from the case-folded names, as in ``gestalt_ratio``
-    (``"İ".lower()`` is two characters).  ``semantic_sim`` is the cosine of
-    the memoised embeddings and ``token_overlap`` is exact.  No step calls
-    BLAS or builds a ``(U, U, alphabet)`` array.
-    """
+    """An upper bound on ``score_pair``'s ``total_score`` for every pair of ``names``."""
     if not names:
         return np.zeros((0, 0))
-    counts = _count_matrix([name.lower() for name in names])
-    # The multiset intersection, one character at a time.
-    common = np.zeros((len(names), len(names)), dtype=np.intp)
-    for column in counts.T:
-        common += np.minimum.outer(column, column)
-    total = counts.sum(axis=1)[:, None] + counts.sum(axis=1)
-    quick = 2.0 * common / np.maximum(total, 1)
-    quick[total == 0] = 1.0
-
-    incidence = _count_matrix([similarity.token_set(name) for name in names]).astype(float)
-    sizes = incidence.sum(axis=1)
-    overlap = _dots(incidence) / np.maximum(np.minimum.outer(sizes, sizes), 1)
-
-    embedded = [similarity._embedding(name) for name in names]
-    vectors = np.array([vec for vec, _ in embedded])
-    # A zero vector has a zero dot product with anything; norm 1 keeps 0/0 out.
-    norms = np.array([norm or 1.0 for _, norm in embedded])
-    cosine = _dots(vectors) / np.outer(norms, norms)
-
-    bound = cfg.alpha * quick + cfg.beta * np.clip(cosine, 0.0, 1.0) + cfg.gamma * overlap
-    return bound + _BOUND_SLACK
-
-
-def _count_matrix(items: list[Iterable[str]]) -> np.ndarray:
-    """How often each element occurs in each item: one row per item, one
-    column per distinct element of all of them."""
-    columns = {x: k for k, x in enumerate(set().union(*items))}
-    cells = [i * len(columns) + columns[x] for i, item in enumerate(items) for x in item]
-    counts = np.bincount(np.array(cells, dtype=np.intp), minlength=len(items) * len(columns))
-    return counts.reshape(len(items), len(columns))
-
-
-def _dots(rows: np.ndarray) -> np.ndarray:
-    """The dot product of every pair of ``rows``, as a ``(U, U)`` array.
-
-    einsum runs its own loop; a matmul would call BLAS, whose threads and
-    buffers cost more time and memory than these small matrices do.
-    """
-    return np.einsum("ik,jk->ij", rows, rows)
+    quick, cosine, overlap = similarity.name_signal_bounds(names)
+    return cfg.alpha * quick + cfg.beta * cosine + cfg.gamma * overlap + _BOUND_SLACK
 
 
 def score_pair(left: ColumnRef, right: ColumnRef, config: MatchConfig | None = None) -> ColumnMatch:

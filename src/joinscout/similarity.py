@@ -4,11 +4,11 @@ Everything in this module is deterministic and self-contained: no model
 downloads and no network.  The only global state is two memos, both
 ``functools.lru_cache(maxsize=_MEMO_LIMIT)``, that never change a result:
 :func:`token_set` keeps token sets and ``_embedding`` keeps each name's
-embedding with its norm.  Column matching bounds every pair over a few
-dozen distinct names, so each name is embedded and tokenised once.
-:func:`gestalt_ratio` is difflib's ``SequenceMatcher`` ratio on the
-case-folded names; column matching runs it only on the pairs whose score
-bound reaches the threshold.
+embedding with its norm.  :func:`name_signal_bounds` bounds the three name
+signals for every pair of a few dozen distinct names at once, so each name
+is embedded and tokenised once.  :func:`gestalt_ratio` is difflib's
+``SequenceMatcher`` ratio on the case-folded names; column matching runs it
+only on the pairs whose score bound reaches the threshold.
 
 All similarity functions return floats in ``[0.0, 1.0]``.  All but
 :func:`gestalt_ratio` are symmetric in their two string arguments; the
@@ -30,24 +30,18 @@ import functools
 import re
 import zlib
 from difflib import SequenceMatcher
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "DEFAULT_SYNONYMS",
     "gestalt_ratio",
-    "indel_ratio",
-    "lcs_length",
-    "normalize",
+    "name_signal_bounds",
     "semantic_sim",
-    "similarity_matrix",
     "sorted_token_form",
     "token_overlap",
-    "token_set",
     "token_sort_best",
     "token_sort_matrix",
-    "token_sort_ratio",
 ]
 
 _NON_ALNUM_RUN = re.compile(r"[^0-9a-z]+")
@@ -371,3 +365,55 @@ def semantic_sim(a: str, b: str) -> float:
         return 0.0
     cos = float(np.dot(va, vb) / (na * nb))
     return min(1.0, max(0.0, cos))
+
+
+def name_signal_bounds(names: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Upper bounds on the three name signals for every pair of ``names``:
+    ``(quick, cosine, overlap)``, each a ``(U, U)`` array.
+
+    ``quick`` is difflib's ``quick_ratio``, ``2 * |common characters| /
+    (|a| + |b|)`` on the case-folded names (1.0 for two empty names), which
+    no :func:`gestalt_ratio` exceeds in either argument order: its matched
+    blocks are common characters.  ``cosine`` is :func:`semantic_sim` and
+    ``overlap`` is :func:`token_overlap`.  No step calls BLAS or builds a
+    ``(U, U, alphabet)`` array.
+    """
+    if not names:
+        raise ValueError("name_signal_bounds needs at least one name")
+    counts = _count_matrix([name.lower() for name in names])
+    # The multiset intersection, one character at a time.
+    common = np.zeros((len(names), len(names)), dtype=np.intp)
+    for column in counts.T:
+        common += np.minimum.outer(column, column)
+    total = counts.sum(axis=1)[:, None] + counts.sum(axis=1)
+    quick = 2.0 * common / np.maximum(total, 1)
+    quick[total == 0] = 1.0
+
+    embedded = [_embedding(name) for name in names]
+    vectors = np.array([vec for vec, _ in embedded])
+    # A zero vector has a zero dot product with anything; norm 1 keeps 0/0 out.
+    norms = np.array([norm or 1.0 for _, norm in embedded])
+    cosine = np.clip(_dots(vectors) / np.outer(norms, norms), 0.0, 1.0)
+
+    incidence = _count_matrix([token_set(name) for name in names]).astype(float)
+    sizes = incidence.sum(axis=1)
+    overlap = _dots(incidence) / np.maximum(np.minimum.outer(sizes, sizes), 1)
+    return quick, cosine, overlap
+
+
+def _count_matrix(items: list[Iterable[str]]) -> np.ndarray:
+    """How often each element occurs in each item: one row per item, one
+    column per distinct element of all of them."""
+    columns = {x: k for k, x in enumerate(set().union(*items))}
+    cells = [i * len(columns) + columns[x] for i, item in enumerate(items) for x in item]
+    counts = np.bincount(np.array(cells, dtype=np.intp), minlength=len(items) * len(columns))
+    return counts.reshape(len(items), len(columns))
+
+
+def _dots(rows: np.ndarray) -> np.ndarray:
+    """The dot product of every pair of ``rows``, as a ``(U, U)`` array.
+
+    einsum runs its own loop; a matmul would call BLAS, whose threads and
+    buffers cost more time and memory than these small matrices do.
+    """
+    return np.einsum("ik,jk->ij", rows, rows)

@@ -19,7 +19,6 @@ from joinscout.fuzzgen import (
     FuzzConfig,
     evaluate_discovery,
     generate_catalog,
-    inject_synonym,
     load_ground_truth,
     remove_chars,
     reorder_name,
@@ -95,14 +94,6 @@ class TestReorderName:
     def test_single_token(self, bad):
         with pytest.raises(SingleTokenError):
             reorder_name(bad)
-
-
-class TestInjectSynonym:
-    def test_mapped(self):
-        assert inject_synonym("Ibuprofen", {"Ibuprofen": "Ibuprofeno"}) == "Ibuprofeno"
-
-    def test_unmapped_passes_through(self):
-        assert inject_synonym("Aspirin", {"Ibuprofen": "Ibuprofeno"}) == "Aspirin"
 
 
 class TestVaryLabel:

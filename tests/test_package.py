@@ -1,12 +1,18 @@
-"""The package's public surface: every library module's ``__all__``, re-exported."""
+"""The package's public surface: every library module's ``__all__``, re-exported,
+and no module reaching past another's ``__all__`` to its ``_`` names."""
 
 from __future__ import annotations
 
+import ast
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import joinscout
+
+REPO = Path(__file__).resolve().parents[1]
 
 LIBRARY_MODULES = [
     "catalog",
@@ -37,3 +43,96 @@ def test_module_names_exist_and_are_the_top_level_objects(module):
         assert hasattr(mod, name), f"joinscout.{module}.__all__ lists missing {name!r}"
         assert getattr(joinscout, name) is getattr(mod, name), name
 
+
+PUBLIC_NAMES = [
+    # catalog
+    "Catalog", "Column", "ColumnRef", "Database", "ForeignKey", "Table", "TableRef",
+    "fk_edges", "load_catalog", "save_catalog",
+    # errors
+    "ConfigError", "DanglingForeignKeyError", "EmptyColumnError", "GraphFormatError",
+    "JoinScoutError", "ManifestParseError", "MissingFileError", "SchemaMismatchError",
+    "SingleTokenError", "UnknownTableError", "ValueTooShortError",
+    # executor
+    "ResultTable", "execute_path", "write_csv",
+    # fuzzgen
+    "DiscoveryReport", "FuzzConfig", "evaluate_discovery", "generate_catalog",
+    "load_ground_truth",
+    # graph
+    "EdgeKind", "JoinEdge", "JoinGraph", "JoinPath", "build_graph", "export_dot",
+    "graph_from_json", "graph_to_json", "shortest_path",
+    # matching
+    "ColumnMatch", "MatchConfig", "candidate_pairs", "filter_candidates", "load_config",
+    "score_pair",
+    # similarity
+    "gestalt_ratio", "name_signal_bounds", "semantic_sim", "sorted_token_form",
+    "token_overlap", "token_sort_best", "token_sort_matrix",
+    # validation
+    "ValidationResult", "fuzzy_jaccard", "sample_distinct", "validate", "validate_many",
+    "value_score",
+]
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 57
+    assert joinscout.__all__ == PUBLIC_NAMES
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads(source: str) -> list[str]:
+    """Every place ``source`` reads a ``_`` name of another joinscout module:
+    ``from .m import _x``, or ``m._x`` where ``m`` was imported as a module."""
+    tree = ast.parse(source)
+    modules: set[str] = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "joinscout"
+        ):
+            for alias in node.names:
+                if _is_private(alias.name):
+                    found.append(f"line {node.lineno}: import of {alias.name}")
+                elif node.module in (None, "joinscout"):
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("joinscout.") and alias.asname:
+                    modules.add(alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _is_private(node.attr)):
+            found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    sources = sorted((REPO / "src" / "joinscout").glob("*.py"))
+    assert sources
+    found = {path.name: private_reads(path.read_text(encoding="utf-8")) for path in sources}
+    assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+@pytest.mark.parametrize(
+    "source,reads",
+    [
+        ("from . import similarity\nsimilarity._embedding('a')", ["line 2: similarity._embedding"]),
+        ("from joinscout import graph as g\ng._oriented", ["line 2: g._oriented"]),
+        ("import joinscout.matching as m\nm._BOUND_SLACK", ["line 2: m._BOUND_SLACK"]),
+        ("from .similarity import _dots", ["line 1: import of _dots"]),
+        ("from . import catalog\ncatalog.__all__\ncatalog.load_catalog", []),
+        ("from .catalog import Catalog\nCatalog._x", []),
+    ],
+)
+def test_private_reads_finds_each_form(source, reads):
+    assert private_reads(source) == reads
+
+
+def test_readme_quickstart_runs(tmp_path, monkeypatch):
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S)
+    assert block is not None
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    assert (tmp_path / "result.csv").read_text(encoding="utf-8").count("\n") > 1

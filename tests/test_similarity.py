@@ -21,6 +21,7 @@ from joinscout.similarity import (
     gestalt_ratio,
     indel_ratio,
     lcs_length,
+    name_signal_bounds,
     normalize,
     semantic_sim,
     similarity_matrix,
@@ -399,6 +400,27 @@ class TestSemanticSim:
     @settings(max_examples=60)
     def test_range(self, a, b):
         assert 0.0 <= semantic_sim(a, b) <= 1.0
+
+
+class TestNameSignalBounds:
+    @given(st.lists(st.text(alphabet="aAbiIİ_ -0", max_size=10), min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_each_bound_covers_its_signal(self, names):
+        quick, cosine, overlap = name_signal_bounds(names)
+        assert quick.shape == cosine.shape == overlap.shape == (len(names), len(names))
+        for i, a in enumerate(names):
+            for j, b in enumerate(names):
+                assert quick[i, j] >= gestalt_ratio(a, b), (a, b)
+                assert cosine[i, j] == pytest.approx(semantic_sim(a, b), abs=1e-12), (a, b)
+                assert overlap[i, j] == token_overlap(a, b), (a, b)
+
+    def test_two_empty_names_are_a_full_character_match(self):
+        quick, _, _ = name_signal_bounds(["", ""])
+        assert quick.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
+    def test_no_names(self):
+        with pytest.raises(ValueError):
+            name_signal_bounds([])
 
 
 def test_weight_identity_spot_check():
