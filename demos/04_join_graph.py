@@ -7,38 +7,24 @@ Every edge is weighted by how much of the data survives the join:
     weight = -log2(overlap_s)      (clamped at s + 1e-6, capped at 1)
 
 so path costs add while survival probabilities multiply.  The cheapest
-path between two tables is then a plain Dijkstra run, and 2^(-total
-weight) estimates the fraction of rows retained end to end.
+path between two tables is then a plain Dijkstra run.  2^(-total weight)
+is shown as the share of rows kept end to end, but it is biased low: each
+s is a Jaccard overlap, never above the containment a join keeps rows by
+(ROADMAP item 8).
 
 Run 01_generate_catalog.py first.
 """
 
 from pathlib import Path
 
-from joinscout import (
-    MatchConfig,
-    TableRef,
-    build_graph,
-    candidate_pairs,
-    export_dot,
-    filter_candidates,
-    graph_to_json,
-    load_catalog,
-    score_pair,
-    shortest_path,
-    validate_many,
-)
+from joinscout import TableRef, discover, export_dot, graph_to_json, load_catalog, shortest_path
 
 HERE = Path(__file__).parent
 CATALOG = HERE / "output" / "catalog" / "manifest.json"
 
 
 def main() -> None:
-    catalog = load_catalog(CATALOG)
-    config = MatchConfig()
-    scored = (score_pair(l, r, config) for l, r in candidate_pairs(catalog, config))
-    validated = validate_many(filter_candidates(scored, config), catalog, config)
-    graph = build_graph(catalog, validated, config)
+    _, _, graph = discover(load_catalog(CATALOG))
 
     print(f"graph: {len(graph.nodes)} tables, {len(graph.edges)} edges\n")
     for edge in graph.edges:

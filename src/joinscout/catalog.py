@@ -377,7 +377,15 @@ def save_catalog(catalog: Catalog, out_dir: str | Path) -> Path:
     Layout: ``<out_dir>/<database>/<table>.csv`` and
     ``<out_dir>/manifest.json``.  Returns the manifest path.  A catalog
     saved here and loaded back compares equal cell for cell.
+
+    Raises :class:`ValueError` before anything is written if a name cannot
+    be one file name inside ``out_dir``: a database named ``.`` or ``..``,
+    or a database or table name holding ``/``, ``\\`` or NUL.
     """
+    for db in catalog.databases:
+        for kind, name in [("database", db.name)] + [("table", tab.name) for tab in db.tables]:
+            if any(ch in name for ch in "/\\\0") or (kind == "database" and name in (".", "..")):
+                raise ValueError(f"cannot save {kind} {name!r}: not a plain file name")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"databases": []}

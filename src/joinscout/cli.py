@@ -26,16 +26,16 @@ from .errors import GraphFormatError, JoinScoutError, UnknownTableError
 from .executor import execute_path, write_csv
 from .fuzzgen import MAX_SCALE, generate_catalog
 from .graph import (
+    EdgeKind,
     JoinGraph,
     JoinPath,
-    build_graph,
+    discover,
     export_dot,
     graph_from_json,
     graph_to_json,
     shortest_path,
 )
-from .matching import MatchConfig, candidate_pairs, filter_candidates, load_config, score_pair
-from .validation import validate_many
+from .matching import MatchConfig, load_config
 
 __all__ = ["main"]
 
@@ -171,16 +171,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_discover(args: argparse.Namespace) -> int:
     config = _load_match_config(args.config)
-    catalog = load_catalog(args.manifest)
-    scored = (score_pair(l, r, config) for l, r in candidate_pairs(catalog, config))
-    candidates = filter_candidates(scored, config)
+    candidates, validated, graph = discover(load_catalog(args.manifest), config)
     print(f"{len(candidates)} candidate column pair(s) above threshold "
           f"{config.column_threshold}")
-    validated = validate_many(candidates, catalog, config)
-    graph = build_graph(catalog, validated, config)
     Path(args.graph_out).write_text(graph_to_json(graph), encoding="utf-8")
-    fuzzy = [e for e in graph.edges if e.kind.value == "fuzzy"]
-    fk = [e for e in graph.edges if e.kind.value == "fk"]
+    fuzzy = [e for e in graph.edges if e.kind is EdgeKind.FUZZY]
+    fk = [e for e in graph.edges if e.kind is EdgeKind.FK]
     print(f"validated {len(validated)} pair(s); graph has {len(graph.nodes)} tables, "
           f"{len(fk)} fk edge(s), {len(fuzzy)} fuzzy edge(s)")
     for edge in fuzzy:

@@ -9,8 +9,10 @@ weight::
 
 so strong joins are cheap and weak joins are expensive.  Because weights
 are additive in log space, minimizing a path's total weight maximizes the
-product of its overlaps, and ``2 ** -total_weight`` estimates the fraction
-of rows a multi-hop join retains end to end.
+product of its overlaps.  ``2 ** -total_weight`` is that product, and it
+is reported as the share of rows a join retains.  That estimate is biased
+low: each overlap is a Jaccard, which is at most the containment of either
+side, and a join keeps rows by containment (ROADMAP item 8).
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .catalog import Catalog, TableRef, fk_edges
 from .errors import GraphFormatError, UnknownTableError
-from .matching import MatchConfig
-from .validation import ValidationResult
+from .matching import ColumnMatch, MatchConfig, candidate_pairs, filter_candidates, score_pair
+from .validation import ValidationResult, validate_many
 
 __all__ = [
     "EdgeKind",
@@ -34,6 +36,7 @@ __all__ = [
     "JoinGraph",
     "JoinPath",
     "build_graph",
+    "discover",
     "export_dot",
     "graph_from_json",
     "graph_to_json",
@@ -83,10 +86,6 @@ class JoinGraph:
     nodes: tuple[TableRef, ...]
     edges: tuple[JoinEdge, ...]
     epsilon: float = MatchConfig.epsilon  # build_graph weighs edges by edge_weight(s, epsilon)
-
-    @cached_property
-    def node_set(self) -> frozenset[TableRef]:
-        return frozenset(self.nodes)
 
     @cached_property
     def adjacency(self) -> Mapping[TableRef, tuple[JoinEdge, ...]]:
@@ -204,6 +203,24 @@ def build_graph(
     return JoinGraph(nodes=nodes, edges=tuple(edges), epsilon=cfg.epsilon)
 
 
+def discover(
+    catalog: Catalog, config: MatchConfig | None = None
+) -> tuple[list[ColumnMatch], list[ValidationResult], JoinGraph]:
+    """Find the joinable columns of a catalog and build its join graph.
+
+    Scores the column pairs that can reach ``column_threshold``, keeps those
+    that do, validates them on sampled values and builds the graph.  Returns
+    the candidates, best first as :func:`filter_candidates` orders them; the
+    validated pairs, in sorted pair order as :func:`validate_many` gives
+    them; and the graph.
+    """
+    cfg = config or MatchConfig()
+    scored = (score_pair(l, r, cfg) for l, r in candidate_pairs(catalog, cfg))
+    candidates = filter_candidates(scored, cfg)
+    validated = validate_many(candidates, catalog, cfg)
+    return candidates, validated, build_graph(catalog, validated, cfg)
+
+
 def shortest_path(graph: JoinGraph, source: TableRef, target: TableRef) -> JoinPath | None:
     """Cheapest join path from ``source`` to ``target``, or ``None``.
 
@@ -213,9 +230,9 @@ def shortest_path(graph: JoinGraph, source: TableRef, target: TableRef) -> JoinP
     path.  That is not the order of the printed names when a name holds a
     dot: ``a.z`` (database ``a``) comes before ``a.b.c`` (database ``a.b``).
     """
-    if source not in graph.node_set:
+    if source not in graph.adjacency:
         raise UnknownTableError(f"unknown table {source}")
-    if target not in graph.node_set:
+    if target not in graph.adjacency:
         raise UnknownTableError(f"unknown table {target}")
 
     counter = 0

@@ -18,7 +18,6 @@ builds one ``token_sort_matrix`` per candidate and reads both scores from it.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -38,8 +37,6 @@ __all__ = [
     "validate_many",
     "value_score",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -148,18 +145,10 @@ def validate(
         catalog.column(match.right).distinct_values, cfg.sample_cap, f"{cfg.seed}:{match.right}"
     )
     if not left_sample or not right_sample:
-        log.debug("rejected %s ~ %s: empty side", match.left, match.right)
         return None
     sims = token_sort_matrix(left_sample, right_sample)
     score = _value_score(sims)
     if score < cfg.row_threshold:
-        log.debug(
-            "rejected %s ~ %s: value score %.3f < %.3f",
-            match.left,
-            match.right,
-            score,
-            cfg.row_threshold,
-        )
         return None
     s = _fuzzy_jaccard(sims, cfg.row_threshold)
     return ValidationResult(

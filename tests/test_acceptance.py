@@ -23,12 +23,12 @@ from joinscout.graph import (
     EdgeKind,
     JoinEdge,
     JoinGraph,
-    build_graph,
+    discover,
     edge_weight,
     graph_from_json,
     shortest_path,
 )
-from joinscout.matching import MatchConfig, candidate_pairs, filter_candidates, score_pair
+from joinscout.matching import MatchConfig
 from joinscout.similarity import (
     gestalt_ratio,
     indel_ratio,
@@ -36,7 +36,7 @@ from joinscout.similarity import (
     token_overlap,
     token_sort_ratio,
 )
-from joinscout.validation import validate_many, value_score
+from joinscout.validation import value_score
 
 EPSILON = 1e-6
 ROW_THRESHOLD = 0.5
@@ -274,12 +274,7 @@ def test_criterion_5_fuzzy_edge_recovery(tmp_path, announce):
         for seed in range(5):
             out = tmp_path / f"seed{seed}"
             catalog = generate_catalog(out, seed=seed)
-            scored = (
-                score_pair(l, r, config) for l, r in candidate_pairs(catalog, config)
-            )
-            validated = validate_many(
-                filter_candidates(scored, config), catalog, config
-            )
+            _, validated, _ = discover(catalog, config)
             truth = load_ground_truth(out / "ground_truth.json")
             report = evaluate_discovery(validated, truth)
             assert report.precision >= 0.75, (seed, report)

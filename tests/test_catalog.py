@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from joinscout.catalog import (
     Catalog,
+    Column,
     ColumnRef,
+    Database,
+    Table,
     TableRef,
     fk_edges,
     load_catalog,
@@ -327,6 +331,41 @@ class TestRoundTrip:
         orders = reloaded.table(TableRef("alpha", "Orders"))
         assert orders.primary_key == ("order_id",)
         assert orders.foreign_keys[0].columns == ("user_id",)
+
+
+def _one_table_catalog(db_name: str, table_name: str) -> Catalog:
+    table = Table(table_name, (Column("a", ("x",)),))
+    return Catalog((Database(db_name, (table,)),))
+
+
+@pytest.mark.parametrize(
+    "db_name, table_name, offender",
+    [
+        ("..", "escaped", ".."),
+        (".", "T", "."),
+        ("a/b", "T", "a/b"),
+        ("a\\b", "T", "a\\b"),
+        ("a\0b", "T", "a\0b"),
+        ("d", "../escaped", "../escaped"),
+        ("d", "T\\", "T\\"),
+        ("d", "T\0", "T\0"),
+    ],
+    ids=["db-dotdot", "db-dot", "db-slash", "db-backslash", "db-nul",
+         "table-dotdot-slash", "table-backslash", "table-nul"],
+)
+def test_save_rejects_names_that_leave_their_directory(tmp_path, db_name, table_name, offender):
+    # Before, a database named ".." wrote its tables into the parent of out.
+    out = tmp_path / "nested" / "out"
+    with pytest.raises(ValueError, match=re.escape(repr(offender))):
+        save_catalog(_one_table_catalog(db_name, table_name), out)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_keeps_dotted_names(tmp_path):
+    cat = _one_table_catalog("a.b", "..T.")
+    manifest = save_catalog(cat, tmp_path / "out")
+    assert (tmp_path / "out" / "a.b" / "..T..csv").is_file()
+    assert load_catalog(manifest) == cat
 
 
 def test_fk_edges_order(tmp_path):

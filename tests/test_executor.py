@@ -22,10 +22,9 @@ from joinscout.catalog import Catalog, Database, ForeignKey, TableRef
 from joinscout.errors import UnknownTableError
 from joinscout.executor import ResultTable, execute_path, write_csv
 from joinscout.fuzzgen import generate_catalog
-from joinscout.graph import EdgeKind, JoinEdge, JoinPath, build_graph, edge_weight, shortest_path
-from joinscout.matching import MatchConfig, candidate_pairs, filter_candidates, score_pair
+from joinscout.graph import EdgeKind, JoinEdge, JoinPath, discover, edge_weight, shortest_path
+from joinscout.matching import MatchConfig
 from joinscout.similarity import token_sort_ratio
-from joinscout.validation import validate_many
 
 from conftest import make_table
 
@@ -468,9 +467,7 @@ def generated(tmp_path_factory):
     reachable ordered table pairs, discovered with the default config."""
     catalog = generate_catalog(tmp_path_factory.mktemp("generated"), seed=0, scale=1)
     cfg = MatchConfig()
-    scored = (score_pair(l, r, cfg) for l, r in candidate_pairs(catalog, cfg))
-    validated = validate_many(filter_candidates(scored, cfg), catalog, cfg)
-    graph = build_graph(catalog, validated, cfg)
+    _, _, graph = discover(catalog, cfg)
     refs = sorted({e.left for e in graph.edges} | {e.right for e in graph.edges}, key=str)
     paths = [shortest_path(graph, source, target) for source, target in itertools.permutations(refs, 2)]
     return catalog, cfg, [path for path in paths if path is not None]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,19 +18,27 @@ from hypothesis import strategies as st
 
 from joinscout.catalog import ColumnRef, TableRef
 from joinscout.errors import GraphFormatError, UnknownTableError
+from joinscout.fuzzgen import generate_catalog
 from joinscout.graph import (
     EdgeKind,
     JoinEdge,
     JoinGraph,
     build_graph,
+    discover,
     edge_weight,
     export_dot,
     graph_from_json,
     graph_to_json,
     shortest_path,
 )
-from joinscout.matching import ColumnMatch, MatchConfig
-from joinscout.validation import ValidationResult
+from joinscout.matching import (
+    ColumnMatch,
+    MatchConfig,
+    candidate_pairs,
+    filter_candidates,
+    score_pair,
+)
+from joinscout.validation import ValidationResult, validate_many
 
 # A well-formed graph file with one fuzzy edge.
 _FUZZY_EDGE = """
@@ -181,6 +189,38 @@ class TestBuildGraph:
         graph = build_graph(memory_catalog, [v])
         kinds = {(e.left, e.right, e.kind) for e in graph.edges}
         assert len(kinds) == len(graph.edges) == 2
+
+
+class TestDiscover:
+    # Every field differs from its default, so a step that is not handed the
+    # config and falls back to MatchConfig() changes the output.
+    NON_DEFAULT = MatchConfig(
+        alpha=0.2, beta=0.45, gamma=0.35, column_threshold=0.45, row_threshold=0.6,
+        sample_cap=20, epsilon=1e-3, seed=7,
+    )
+
+    @staticmethod
+    def hand_written(catalog, cfg):
+        scored = (score_pair(l, r, cfg) for l, r in candidate_pairs(catalog, cfg))
+        candidates = filter_candidates(scored, cfg)
+        validated = validate_many(candidates, catalog, cfg)
+        return candidates, validated, build_graph(catalog, validated, cfg)
+
+    def test_non_default_config_sets_every_field(self):
+        default = MatchConfig()
+        for f in fields(MatchConfig):
+            assert getattr(self.NON_DEFAULT, f.name) != getattr(default, f.name), f.name
+
+    @pytest.mark.parametrize("scale", [1, 4, 13])
+    def test_equals_the_hand_written_pipeline(self, tmp_path, scale):
+        catalog = generate_catalog(tmp_path, seed=0, scale=scale)
+        for config, cfg in [(None, MatchConfig()), (self.NON_DEFAULT, self.NON_DEFAULT)]:
+            candidates, validated, graph = discover(catalog, config)
+            want_candidates, want_validated, want_graph = self.hand_written(catalog, cfg)
+            assert validated, cfg
+            assert candidates == want_candidates, cfg
+            assert repr(validated) == repr(want_validated), cfg
+            assert graph_to_json(graph) == graph_to_json(want_graph), cfg
 
 
 def _simple_graph():

@@ -58,8 +58,8 @@ PUBLIC_NAMES = [
     "DiscoveryReport", "FuzzConfig", "evaluate_discovery", "generate_catalog",
     "load_ground_truth",
     # graph
-    "EdgeKind", "JoinEdge", "JoinGraph", "JoinPath", "build_graph", "export_dot",
-    "graph_from_json", "graph_to_json", "shortest_path",
+    "EdgeKind", "JoinEdge", "JoinGraph", "JoinPath", "build_graph", "discover",
+    "export_dot", "graph_from_json", "graph_to_json", "shortest_path",
     # matching
     "ColumnMatch", "MatchConfig", "candidate_pairs", "filter_candidates", "load_config",
     "score_pair",
@@ -73,7 +73,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 57
+    assert len(PUBLIC_NAMES) == 58
     assert joinscout.__all__ == PUBLIC_NAMES
 
 

@@ -17,13 +17,8 @@ from hypothesis import strategies as st
 from joinscout.catalog import ColumnRef
 from joinscout.errors import EmptyColumnError
 from joinscout.fuzzgen import generate_catalog
-from joinscout.matching import (
-    ColumnMatch,
-    MatchConfig,
-    candidate_pairs,
-    filter_candidates,
-    score_pair,
-)
+from joinscout.graph import discover
+from joinscout.matching import ColumnMatch, MatchConfig
 from joinscout.similarity import similarity_matrix, sorted_token_form, token_sort_ratio
 from joinscout.validation import (
     ValidationResult,
@@ -365,8 +360,7 @@ def test_validate_many_equals_public_scores_on_catalogs(tmp_path, scale):
     cfg = MatchConfig()
     for seed in range(12):
         catalog = generate_catalog(tmp_path / str(seed), seed=seed, scale=scale)
-        scored = (score_pair(l, r, cfg) for l, r in candidate_pairs(catalog, cfg))
-        candidates = filter_candidates(scored, cfg)
+        candidates, validated, _ = discover(catalog, cfg)
         expected = []
         for match in sorted(candidates, key=lambda m: (m.left, m.right)):
             left = sample_distinct(
@@ -382,4 +376,4 @@ def test_validate_many_equals_public_scores_on_catalogs(tmp_path, scale):
             assert s == tuple_sort_fuzzy_jaccard(left, right, cfg.row_threshold)
             expected.append(ValidationResult(match, score, s, len(left), len(right)))
         assert expected
-        assert repr(validate_many(candidates, catalog, cfg)) == repr(expected)
+        assert repr(validated) == repr(expected)
