@@ -1,7 +1,8 @@
 """Row-level validation: do the column VALUES actually line up?
 
-Name-level scoring is cheap but gullible.  This step samples distinct
-values from both columns and checks them two ways:
+Name-level scoring is cheap but gullible.  This step runs every candidate
+through ``validate_many``, which samples distinct values from each column
+once and checks each pair two ways:
 
   value_score   mean over left values of the best token-sort similarity
                 on the right (how well does each left value match at all?)
@@ -21,7 +22,7 @@ from joinscout import (
     load_catalog,
     sample_distinct,
     score_pair,
-    validate,
+    validate_many,
 )
 
 CATALOG = Path(__file__).parent / "output" / "catalog" / "manifest.json"
@@ -33,9 +34,13 @@ def main() -> None:
     scored = (score_pair(l, r, config) for l, r in candidate_pairs(catalog, config))
     candidates = filter_candidates(scored, config)
 
+    validated = {
+        (r.match.left, r.match.right): r for r in validate_many(candidates, catalog, config)
+    }
+
     print(f"validating {len(candidates)} candidates at row level:\n")
     for match in candidates:
-        result = validate(match, catalog, config)
+        result = validated.get((match.left, match.right))
         if result is None:
             left_col = catalog.column(match.left)
             right_col = catalog.column(match.right)

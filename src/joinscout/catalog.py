@@ -378,13 +378,32 @@ def save_catalog(catalog: Catalog, out_dir: str | Path) -> Path:
     ``<out_dir>/manifest.json``.  Returns the manifest path.  A catalog
     saved here and loaded back compares equal cell for cell.
 
-    Raises :class:`ValueError` before anything is written if a name cannot
-    be one file name inside ``out_dir``: a database named ``.`` or ``..``,
-    or a database or table name holding ``/``, ``\\`` or NUL.
+    Raises :class:`ValueError` naming the offender before anything is
+    written if the catalog is one that ``load_catalog`` would reject: no
+    databases, a database without tables or a table without columns, an
+    empty or repeated name among the databases, among one database's tables
+    or among one table's columns.  It also does so if a name cannot be one
+    file name inside ``out_dir``: a database named ``.`` or ``..``, or a
+    database or table name holding ``/``, ``\\`` or NUL.
     """
+    groups = [("database", "catalog", [db.name for db in catalog.databases])]
     for db in catalog.databases:
-        for kind, name in [("database", db.name)] + [("table", tab.name) for tab in db.tables]:
-            if any(ch in name for ch in "/\\\0") or (kind == "database" and name in (".", "..")):
+        groups.append(("table", f"database {db.name!r}", [tab.name for tab in db.tables]))
+        groups += [
+            ("column", f"table {tab.name!r} of database {db.name!r}", list(tab.column_names))
+            for tab in db.tables
+        ]
+    for kind, owner, names in groups:
+        if not names:
+            raise ValueError(f"cannot save {owner}: it has no {kind}s")
+        for i, name in enumerate(names):
+            if not name:
+                raise ValueError(f"cannot save {owner}: it has an empty {kind} name")
+            if name in names[:i]:
+                raise ValueError(f"cannot save {owner}: it has two {kind}s named {name!r}")
+            if kind != "column" and (
+                any(ch in name for ch in "/\\\0") or (kind == "database" and name in (".", ".."))
+            ):
                 raise ValueError(f"cannot save {kind} {name!r}: not a plain file name")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -12,8 +12,10 @@ survive a look at the data:
   join graph consumes.
 
 Columns are compared on distinct values only; large columns are first cut
-down to a seeded deterministic sample of ``sample_cap`` values.  ``validate``
-builds one ``token_sort_matrix`` per candidate and reads both scores from it.
+down to a seeded deterministic sample of ``sample_cap`` values.
+``validate_many`` is the one validation loop: it samples each column once
+per call and puts the sample in sorted-token form once, then reads both
+scores of a candidate from one ``similarity_matrix`` of those forms.
 """
 
 from __future__ import annotations
@@ -24,16 +26,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .catalog import Catalog
+from .catalog import Catalog, ColumnRef
 from .errors import EmptyColumnError
 from .matching import ColumnMatch, MatchConfig
-from .similarity import token_sort_matrix
+from .similarity import similarity_matrix, sorted_token_form, token_sort_matrix
 
 __all__ = [
     "ValidationResult",
     "fuzzy_jaccard",
     "sample_distinct",
-    "validate",
     "validate_many",
     "value_score",
 ]
@@ -127,47 +128,17 @@ def sample_distinct(values: Iterable[str], cap: int, seed_key: str) -> list[str]
     return sorted(rng.sample(distinct, cap))
 
 
-def validate(
-    match: ColumnMatch,
-    catalog: Catalog,
-    config: MatchConfig | None = None,
-) -> ValidationResult | None:
-    """Check a candidate column pair against the actual row values.
-
-    Returns ``None`` when the pair is rejected: either side has no usable
-    values, or the value score falls below ``row_threshold``.
-    """
-    cfg = config or MatchConfig()
-    left_sample = sample_distinct(
-        catalog.column(match.left).distinct_values, cfg.sample_cap, f"{cfg.seed}:{match.left}"
-    )
-    right_sample = sample_distinct(
-        catalog.column(match.right).distinct_values, cfg.sample_cap, f"{cfg.seed}:{match.right}"
-    )
-    if not left_sample or not right_sample:
-        return None
-    sims = token_sort_matrix(left_sample, right_sample)
-    score = _value_score(sims)
-    if score < cfg.row_threshold:
-        return None
-    s = _fuzzy_jaccard(sims, cfg.row_threshold)
-    return ValidationResult(
-        match=match,
-        value_score=score,
-        overlap_s=s,
-        sampled_left=len(left_sample),
-        sampled_right=len(right_sample),
-    )
-
-
 def validate_many(
     matches: Iterable[ColumnMatch],
     catalog: Catalog,
     config: MatchConfig | None = None,
     jobs: int = 1,
 ) -> list[ValidationResult]:
-    """Validate candidates and drop the rejected ones.
+    """Check candidate column pairs against the actual row values.
 
+    A candidate is rejected when either side has no usable values, or when
+    its value score falls below ``row_threshold``.  Each column is sampled
+    and token-formed once per call, however many candidates it is in.
     Candidates are processed in sorted pair order and results keep that
     order, so the output does not depend on the input order.
 
@@ -180,5 +151,21 @@ def validate_many(
         raise ValueError(f"validate_many runs in one process; jobs must be 1, got {jobs}")
     cfg = config or MatchConfig()
     ordered = sorted(matches, key=lambda m: (m.left, m.right))
-    results = (validate(m, catalog, cfg) for m in ordered)
-    return [r for r in results if r is not None]
+    forms: dict[ColumnRef, list[str]] = {}
+    for ref in dict.fromkeys(ref for m in ordered for ref in (m.left, m.right)):
+        sample = sample_distinct(
+            catalog.column(ref).distinct_values, cfg.sample_cap, f"{cfg.seed}:{ref}"
+        )
+        forms[ref] = [sorted_token_form(v) for v in sample]
+    results = []
+    for match in ordered:
+        lefts, rights = forms[match.left], forms[match.right]
+        if not lefts or not rights:
+            continue
+        sims = similarity_matrix(lefts, rights)
+        score = _value_score(sims)
+        if score < cfg.row_threshold:
+            continue
+        s = _fuzzy_jaccard(sims, cfg.row_threshold)
+        results.append(ValidationResult(match, score, s, len(lefts), len(rights)))
+    return results

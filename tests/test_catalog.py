@@ -361,6 +361,38 @@ def test_save_rejects_names_that_leave_their_directory(tmp_path, db_name, table_
     assert list(tmp_path.iterdir()) == []
 
 
+def _table(name: str, *columns: str) -> Table:
+    return Table(name, tuple(Column(c, ("x",)) for c in columns))
+
+
+@pytest.mark.parametrize(
+    "catalog, offender",
+    [
+        (Catalog(()), "no databases"),
+        (Catalog((Database("d", ()),)), "database 'd': it has no tables"),
+        (Catalog((Database("d", (_table("T"),)),)), "table 'T' of database 'd': it has no columns"),
+        (Catalog((Database("", (_table("T", "a"),)),)), "empty database name"),
+        (Catalog((Database("d", (_table("", "a"),)),)), "empty table name"),
+        (Catalog((Database("d", (_table("T", ""),)),)), "empty column name"),
+        (
+            Catalog((Database("d", (_table("T", "a"),)), Database("d", (_table("T", "b"),)))),
+            "two databases named 'd'",
+        ),
+        (Catalog((Database("d", (_table("T", "a"), _table("T", "b"))),)), "two tables named 'T'"),
+        (Catalog((Database("d", (_table("T", "a", "a"),)),)), "two columns named 'a'"),
+    ],
+    ids=["no-databases", "no-tables", "no-columns", "empty-database", "empty-table",
+         "empty-column", "two-databases", "two-tables", "two-columns"],
+)
+def test_save_rejects_catalogs_that_load_rejects(tmp_path, catalog, offender):
+    # load_catalog rejects each of these; two databases or tables of one
+    # name would also write the second CSV over the first.
+    out = tmp_path / "nested" / "out"
+    with pytest.raises(ValueError, match=re.escape(offender)):
+        save_catalog(catalog, out)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_save_keeps_dotted_names(tmp_path):
     cat = _one_table_catalog("a.b", "..T.")
     manifest = save_catalog(cat, tmp_path / "out")

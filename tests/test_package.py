@@ -6,11 +6,13 @@ from __future__ import annotations
 import ast
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import joinscout
+from joinscout.cli import EXIT_OK, main
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -67,13 +69,12 @@ PUBLIC_NAMES = [
     "gestalt_ratio", "name_signal_bounds", "semantic_sim", "sorted_token_form",
     "token_overlap", "token_sort_best", "token_sort_matrix",
     # validation
-    "ValidationResult", "fuzzy_jaccard", "sample_distinct", "validate", "validate_many",
-    "value_score",
+    "ValidationResult", "fuzzy_jaccard", "sample_distinct", "validate_many", "value_score",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 58
+    assert len(PUBLIC_NAMES) == 57
     assert joinscout.__all__ == PUBLIC_NAMES
 
 
@@ -136,3 +137,27 @@ def test_readme_quickstart_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(block.group(1), "README.md", "exec"), {})
     assert (tmp_path / "result.csv").read_text(encoding="utf-8").count("\n") > 1
+
+
+def test_readme_tour_runs(tmp_path, monkeypatch, capsys):
+    # The five commands of "Five-minute tour", as README writes them: each
+    # exits 0, every line `path` prints is a whole line of README, and every
+    # line of the `discover` excerpt but its "..." is a line `discover` prints.
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"## Five-minute tour\n\n```sh\n(.*?)```", readme, re.S)
+    excerpt = re.search(r"`discover` prints what it found:\n\n```\n(.*?)```", readme, re.S)
+    assert tour is not None and excerpt is not None
+    commands = [line for line in tour.group(1).splitlines() if line.startswith("joinscout ")]
+    assert len(commands) == 5
+    expected = [line for line in excerpt.group(1).splitlines() if line.strip() != "..."]
+    assert expected
+    readme_lines = set(readme.splitlines())
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == EXIT_OK, command
+        printed = capsys.readouterr().out.splitlines()
+        if command.startswith("joinscout path "):
+            assert printed
+            assert [line for line in printed if line not in readme_lines] == []
+        if command.startswith("joinscout discover "):
+            assert [line for line in expected if line not in printed] == []

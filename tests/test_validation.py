@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from joinscout.catalog import ColumnRef
+from joinscout import similarity, validation
+from joinscout.catalog import Catalog, ColumnRef, Database
 from joinscout.errors import EmptyColumnError
 from joinscout.fuzzgen import generate_catalog
 from joinscout.graph import discover
@@ -24,7 +25,6 @@ from joinscout.validation import (
     ValidationResult,
     fuzzy_jaccard,
     sample_distinct,
-    validate,
     validate_many,
     value_score,
 )
@@ -272,8 +272,7 @@ class TestValidate:
             ColumnRef("alpha", "Users", "user_name"),
             ColumnRef("beta", "People", "full_name"),
         )
-        result = validate(match, memory_catalog)
-        assert result is not None
+        [result] = validate_many([match], memory_catalog)
         users = ["John Smith", "Mary Jones", "Alice Brown"]
         people = ["Smith John", "Mary Jones", "Carol White"]
         assert result.value_score == brute_value_score(users, people)
@@ -287,11 +286,10 @@ class TestValidate:
             ColumnRef("alpha", "Orders", "item"),
             ColumnRef("beta", "People", "full_name"),
         )
-        assert validate(match, memory_catalog) is None
+        assert validate_many([match], memory_catalog) == []
 
     def test_rejects_empty_column(self, memory_catalog, tmp_path):
         from conftest import make_table
-        from joinscout.catalog import Catalog, Database
 
         empty = make_table("E", {"only": ["", "", ""]})
         cat = Catalog(
@@ -303,7 +301,7 @@ class TestValidate:
         match = _match_for(
             cat, ColumnRef("alpha", "Users", "user_name"), ColumnRef("z", "E", "only")
         )
-        assert validate(match, cat) is None
+        assert validate_many([match], cat) == []
 
     def test_sample_cap_respected(self, memory_catalog):
         cfg = MatchConfig(sample_cap=2)
@@ -312,10 +310,9 @@ class TestValidate:
             ColumnRef("alpha", "Users", "user_name"),
             ColumnRef("beta", "People", "full_name"),
         )
-        result = validate(match, memory_catalog, cfg)
-        if result is not None:
-            assert result.sampled_left == 2
-            assert result.sampled_right == 2
+        [result] = validate_many([match], memory_catalog, cfg)
+        assert result.sampled_left == 2
+        assert result.sampled_right == 2
 
 
 class TestValidateMany:
@@ -352,10 +349,55 @@ class TestValidateMany:
             list(reversed(matches)), memory_catalog
         )
 
+    def test_columns_of_one_name_in_two_tables_keep_their_own_values(self, memory_catalog):
+        # alpha.Staff.name and alpha.Stock.name share a column name, not
+        # values; each is checked on its own sample against beta's column.
+        from conftest import make_table
+
+        staff = make_table("Staff", {"name": ["John Smith", "Mary Jones"]})
+        stock = make_table("Stock", {"name": ["widget", "gadget", "sprocket"]})
+        cat = Catalog((Database("alpha", (staff, stock)), memory_catalog.databases[1]))
+        full_name = ColumnRef("beta", "People", "full_name")
+        matches = [
+            _match_for(cat, ColumnRef("alpha", table, "name"), full_name)
+            for table in ("Stock", "Staff")
+        ]
+        [result] = validate_many(matches, cat)
+        assert result.match is matches[1]
+        people = ["Smith John", "Mary Jones", "Carol White"]
+        assert result.value_score == brute_value_score(["John Smith", "Mary Jones"], people)
+        assert (result.sampled_left, result.sampled_right) == (2, 3)
+        assert validate_many(matches[:1], cat) == []
+        assert validate_many(matches[1:], cat) == [result]
+
+
+def test_each_column_is_token_formed_once_per_call(tmp_path, monkeypatch):
+    # Every candidate column is sampled and put in sorted-token form once,
+    # however many candidates it is in: at seed 0, scale 1, 581 calls for
+    # the 13 columns of 8 candidates.
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return sorted_token_form(text)
+
+    monkeypatch.setattr(similarity, "sorted_token_form", counting)
+    monkeypatch.setattr(validation, "sorted_token_form", counting, raising=False)
+    catalog = generate_catalog(tmp_path, seed=0, scale=1)
+    cfg = MatchConfig()
+    candidates, _, _ = discover(catalog, cfg)
+    columns = {ref for match in candidates for ref in (match.left, match.right)}
+    sampled = [
+        sample_distinct(catalog.column(ref).distinct_values, cfg.sample_cap, f"{cfg.seed}:{ref}")
+        for ref in columns
+    ]
+    assert len(columns) == 13
+    assert len(calls) == sum(map(len, sampled)) == 581
+
 
 @pytest.mark.parametrize("scale", [1, 4])
 def test_validate_many_equals_public_scores_on_catalogs(tmp_path, scale):
-    # validate reads both scores off one matrix; they must equal the public
+    # validate_many reads both scores off one matrix; they must equal the public
     # functions on the same samples, candidate by candidate.
     cfg = MatchConfig()
     for seed in range(12):
