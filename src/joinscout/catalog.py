@@ -27,7 +27,14 @@ A manifest looks like::
 empty string means missing.  Foreign keys stay inside their own database —
 cross-database links are exactly what the rest of the package discovers.
 
-Loaded catalogs are immutable: safe to share across threads.  A column's
+The constructors enforce every manifest rule beyond JSON syntax, so no
+invalid catalog can be built, loaded or generated.  A bad shape raises
+:class:`ManifestParseError`: no columns, tables or databases; an empty or
+repeated name; columns of different lengths; a key with no columns or
+unequal arity.  A primary or foreign key naming a column or table that
+does not exist raises :class:`DanglingForeignKeyError`.
+
+Catalogs are immutable: safe to share across threads.  A column's
 ``distinct_values`` is computed on first read; two threads that read it
 at once may both compute the same set, and one of them is kept.
 """
@@ -39,7 +46,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import (
     DanglingForeignKeyError,
@@ -98,6 +105,14 @@ class ForeignKey:
     ref_table: str
     ref_columns: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        where = f"foreign key to {self.ref_table!r}"
+        _require(bool(self.columns), f"{where} has no columns")
+        _require(
+            len(self.columns) == len(self.ref_columns),
+            f"{where}: arity mismatch ({len(self.columns)} vs {len(self.ref_columns)})",
+        )
+
 
 @dataclass(frozen=True)
 class Column:
@@ -117,9 +132,22 @@ class Table:
     primary_key: tuple[str, ...] | None = None
     foreign_keys: tuple[ForeignKey, ...] = ()
 
+    def __post_init__(self) -> None:
+        owner, names = f"table {self.name!r}", self.column_names
+        _check_names(names, "column", owner)
+        lengths = sorted({len(c.values) for c in self.columns})
+        _require(len(lengths) == 1, f"{owner} has columns of different lengths {lengths}")
+        _require(self.primary_key != (), f"{owner} has a primary key with no columns")
+        keys = [("primary key", self.primary_key or ())]
+        keys += [("foreign key", fk.columns) for fk in self.foreign_keys]
+        for what, columns in keys:
+            for col in columns:
+                if col not in names:
+                    raise DanglingForeignKeyError(f"{owner}: {what} column {col!r} does not exist")
+
     @property
     def row_count(self) -> int:
-        return len(self.columns[0].values) if self.columns else 0
+        return len(self.columns[0].values)
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -132,13 +160,30 @@ class Table:
         raise KeyError(f"table {self.name!r} has no column {name!r}")
 
     def rows(self) -> Iterator[tuple[str, ...]]:
-        return zip(*(c.values for c in self.columns)) if self.columns else iter(())
+        return zip(*(c.values for c in self.columns))
 
 
 @dataclass(frozen=True)
 class Database:
     name: str
     tables: tuple[Table, ...]
+
+    def __post_init__(self) -> None:
+        _check_names([tab.name for tab in self.tables], "table", f"database {self.name!r}")
+        for tab in self.tables:
+            for fk in tab.foreign_keys:
+                try:
+                    target = self.table(fk.ref_table)
+                except UnknownTableError:
+                    raise DanglingForeignKeyError(
+                        f"{self.name}.{tab.name}: foreign key references unknown table {fk.ref_table!r}"
+                    ) from None
+                for col in fk.ref_columns:
+                    if col not in target.column_names:
+                        raise DanglingForeignKeyError(
+                            f"{self.name}.{tab.name}: foreign key references "
+                            f"{fk.ref_table}.{col} which does not exist"
+                        )
 
     def table(self, name: str) -> Table:
         for tab in self.tables:
@@ -150,6 +195,9 @@ class Database:
 @dataclass(frozen=True)
 class Catalog:
     databases: tuple[Database, ...]
+
+    def __post_init__(self) -> None:
+        _check_names([db.name for db in self.databases], "database", "catalog")
 
     def database(self, name: str) -> Database:
         for db in self.databases:
@@ -177,10 +225,20 @@ def _require(condition: bool, message: str) -> None:
         raise ManifestParseError(message)
 
 
+def _check_names(names: Sequence[str], kind: str, owner: str) -> None:
+    """Reject no names at all, an empty name and a repeated name."""
+    _require(bool(names), f"{owner} has no {kind}s")
+    seen: set[str] = set()
+    for name in names:
+        _require(bool(name), f"{owner} has an empty {kind} name")
+        _require(name not in seen, f"{owner} has a duplicate {kind} name {name!r}")
+        seen.add(name)
+
+
 def _parse_key(raw: object, what: str) -> tuple[str, ...]:
     _require(
-        isinstance(raw, list) and raw and all(isinstance(c, str) for c in raw),
-        f"{what} must be a non-empty list of column names",
+        isinstance(raw, list) and all(isinstance(c, str) for c in raw),
+        f"{what} must be a list of column names",
     )
     return tuple(raw)  # type: ignore[arg-type]
 
@@ -193,11 +251,7 @@ def _parse_foreign_key(raw: object, where: str) -> ForeignKey:
     columns = _parse_key(raw.get("columns"), f"{where}: foreign key 'columns'")
     ref_columns = _parse_key(raw.get("ref_columns"), f"{where}: foreign key 'ref_columns'")
     ref_table = raw.get("ref_table")
-    _require(isinstance(ref_table, str) and bool(ref_table), f"{where}: 'ref_table' must be a non-empty string")
-    _require(
-        len(columns) == len(ref_columns),
-        f"{where}: foreign key arity mismatch ({len(columns)} vs {len(ref_columns)})",
-    )
+    _require(isinstance(ref_table, str), f"{where}: 'ref_table' must be a string")
     return ForeignKey(columns=columns, ref_table=ref_table, ref_columns=ref_columns)  # type: ignore[arg-type]
 
 
@@ -243,8 +297,10 @@ def load_catalog(manifest_path: str | Path) -> Catalog:
     Raises
     ------
     ManifestParseError
-        Malformed JSON (bytes that are not UTF-8 included), missing fields,
-        duplicate names, bad key shapes.
+        Malformed JSON (bytes that are not UTF-8 included), a missing or
+        mistyped field, or a catalog that a constructor rejects (see the
+        module docstring): no databases, tables or columns, an empty or
+        repeated name, a key with no columns or unequal arity.
     MissingFileError
         A referenced CSV file does not exist.
     SchemaMismatchError
@@ -264,47 +320,29 @@ def load_catalog(manifest_path: str | Path) -> Catalog:
 
     _require(isinstance(doc, dict), "manifest root must be an object")
     raw_dbs = doc.get("databases")
-    _require(isinstance(raw_dbs, list) and bool(raw_dbs), "manifest needs a non-empty 'databases' list")
+    _require(isinstance(raw_dbs, list), "manifest needs a 'databases' list")
 
     databases: list[Database] = []
-    seen_dbs: set[str] = set()
     for raw_db in raw_dbs:
         _require(isinstance(raw_db, dict), "each database entry must be an object")
         db_name = raw_db.get("name")
-        _require(isinstance(db_name, str) and bool(db_name), "database 'name' must be a non-empty string")
-        _require(db_name not in seen_dbs, f"duplicate database name {db_name!r}")
-        seen_dbs.add(db_name)
+        _require(isinstance(db_name, str), "database 'name' must be a string")
         raw_tables = raw_db.get("tables")
-        _require(
-            isinstance(raw_tables, list) and bool(raw_tables),
-            f"database {db_name!r} needs a non-empty 'tables' list",
-        )
+        _require(isinstance(raw_tables, list), f"database {db_name!r} needs a 'tables' list")
 
         tables: list[Table] = []
-        seen_tables: set[str] = set()
         for raw_tab in raw_tables:
             _require(isinstance(raw_tab, dict), f"database {db_name!r}: table entry must be an object")
             tab_name = raw_tab.get("name")
-            _require(
-                isinstance(tab_name, str) and bool(tab_name),
-                f"database {db_name!r}: table 'name' must be a non-empty string",
-            )
+            _require(isinstance(tab_name, str), f"database {db_name!r}: table 'name' must be a string")
             where = f"{db_name}.{tab_name}"
-            _require(tab_name not in seen_tables, f"duplicate table name {where!r}")
-            seen_tables.add(tab_name)
 
             raw_columns = raw_tab.get("columns")
             _require(
-                isinstance(raw_columns, list)
-                and bool(raw_columns)
-                and all(isinstance(c, str) and c for c in raw_columns),
-                f"{where}: 'columns' must be a non-empty list of non-empty strings",
+                isinstance(raw_columns, list) and bool(raw_columns) and all(isinstance(c, str) for c in raw_columns),
+                f"{where}: 'columns' must be a non-empty list of strings",
             )
             assert isinstance(raw_columns, list)
-            _require(
-                len(set(raw_columns)) == len(raw_columns),
-                f"{where}: duplicate column names",
-            )
 
             rel_file = raw_tab.get("file")
             _require(isinstance(rel_file, str) and bool(rel_file), f"{where}: 'file' must be a non-empty string")
@@ -333,42 +371,7 @@ def load_catalog(manifest_path: str | Path) -> Catalog:
                 )
             )
         databases.append(Database(name=db_name, tables=tuple(tables)))
-
-    catalog = Catalog(databases=tuple(databases))
-    _check_references(catalog)
-    return catalog
-
-
-def _check_references(catalog: Catalog) -> None:
-    """Reject primary/foreign keys that point at nothing."""
-    for db in catalog.databases:
-        by_name = {tab.name: tab for tab in db.tables}
-        for tab in db.tables:
-            names = set(tab.column_names)
-            if tab.primary_key is not None:
-                for col in tab.primary_key:
-                    if col not in names:
-                        raise DanglingForeignKeyError(
-                            f"{db.name}.{tab.name}: primary key column {col!r} does not exist"
-                        )
-            for fk in tab.foreign_keys:
-                for col in fk.columns:
-                    if col not in names:
-                        raise DanglingForeignKeyError(
-                            f"{db.name}.{tab.name}: foreign key column {col!r} does not exist"
-                        )
-                target = by_name.get(fk.ref_table)
-                if target is None:
-                    raise DanglingForeignKeyError(
-                        f"{db.name}.{tab.name}: foreign key references unknown table {fk.ref_table!r}"
-                    )
-                target_names = set(target.column_names)
-                for col in fk.ref_columns:
-                    if col not in target_names:
-                        raise DanglingForeignKeyError(
-                            f"{db.name}.{tab.name}: foreign key references "
-                            f"{fk.ref_table}.{col} which does not exist"
-                        )
+    return Catalog(databases=tuple(databases))
 
 
 def save_catalog(catalog: Catalog, out_dir: str | Path) -> Path:
@@ -379,31 +382,16 @@ def save_catalog(catalog: Catalog, out_dir: str | Path) -> Path:
     saved here and loaded back compares equal cell for cell.
 
     Raises :class:`ValueError` naming the offender before anything is
-    written if the catalog is one that ``load_catalog`` would reject: no
-    databases, a database without tables or a table without columns, an
-    empty or repeated name among the databases, among one database's tables
-    or among one table's columns.  It also does so if a name cannot be one
-    file name inside ``out_dir``: a database named ``.`` or ``..``, or a
-    database or table name holding ``/``, ``\\`` or NUL.
+    written if a name cannot be one file name inside ``out_dir``: a
+    database named ``.``, ``..`` or ``manifest.json``, or a database or
+    table name holding ``/``, ``\\`` or NUL.  Every other rule that
+    ``load_catalog`` checks, the constructors have already enforced.
     """
-    groups = [("database", "catalog", [db.name for db in catalog.databases])]
     for db in catalog.databases:
-        groups.append(("table", f"database {db.name!r}", [tab.name for tab in db.tables]))
-        groups += [
-            ("column", f"table {tab.name!r} of database {db.name!r}", list(tab.column_names))
-            for tab in db.tables
-        ]
-    for kind, owner, names in groups:
-        if not names:
-            raise ValueError(f"cannot save {owner}: it has no {kind}s")
-        for i, name in enumerate(names):
-            if not name:
-                raise ValueError(f"cannot save {owner}: it has an empty {kind} name")
-            if name in names[:i]:
-                raise ValueError(f"cannot save {owner}: it has two {kind}s named {name!r}")
-            if kind != "column" and (
-                any(ch in name for ch in "/\\\0") or (kind == "database" and name in (".", ".."))
-            ):
+        named = [("database", db.name)] + [("table", tab.name) for tab in db.tables]
+        for kind, name in named:
+            reserved = kind == "database" and name in (".", "..", "manifest.json")
+            if reserved or any(ch in name for ch in "/\\\0"):
                 raise ValueError(f"cannot save {kind} {name!r}: not a plain file name")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -20,11 +20,14 @@ class JoinScoutError(Exception):
 
 
 class ManifestParseError(JoinScoutError):
-    """The catalog manifest is not valid JSON or violates its schema."""
+    """A catalog or the manifest describing it breaks the catalog's rules.
+
+    Also raised for a manifest or ground-truth sidecar that is not UTF-8 JSON.
+    """
 
 
 class MissingFileError(JoinScoutError):
-    """A data file referenced by the manifest does not exist."""
+    """A manifest, a data file it references or a ground-truth sidecar does not exist."""
 
 
 class SchemaMismatchError(JoinScoutError):
@@ -32,7 +35,7 @@ class SchemaMismatchError(JoinScoutError):
 
 
 class DanglingForeignKeyError(JoinScoutError):
-    """A foreign key points at a table or column that does not exist."""
+    """A primary or foreign key names a table or column that does not exist."""
 
 
 class UnknownTableError(JoinScoutError):

@@ -37,10 +37,9 @@ from .catalog import (
     Database,
     ForeignKey,
     Table,
-    load_catalog,
     save_catalog,
 )
-from .errors import SingleTokenError, ValueTooShortError
+from .errors import ManifestParseError, MissingFileError, SingleTokenError, ValueTooShortError
 from .matching import ColumnMatch
 from .validation import ValidationResult
 
@@ -160,13 +159,13 @@ def generate_catalog(
     scale: int = 1,
     fuzz: FuzzConfig | None = None,
 ) -> Catalog:
-    """Generate a four-database catalog under ``out_dir`` and load it back.
+    """Generate a four-database catalog, write it under ``out_dir`` and return it.
 
     Writes one CSV per table, a ``manifest.json``, and a
     ``ground_truth.json`` sidecar.  ``scale`` multiplies the fact-table row
     counts; dimension tables are bounded by the name pools.  The returned
-    catalog has already been round-tripped through :func:`load_catalog`,
-    so all declared keys are known to validate.
+    catalog equals what :func:`load_catalog` reads back from the manifest:
+    its constructors checked every rule the loader checks.
     """
     if scale < 1:
         raise ValueError("scale must be >= 1")
@@ -477,7 +476,7 @@ def generate_catalog(
 
     catalog = Catalog(databases=(hospital, insurance, pharmacy, public_info))
     out_dir = Path(out_dir)
-    manifest_path = save_catalog(catalog, out_dir)
+    save_catalog(catalog, out_dir)
 
     truth = {
         "seed": seed,
@@ -495,7 +494,7 @@ def generate_catalog(
     (out_dir / GROUND_TRUTH_FILE).write_text(
         json.dumps(truth, indent=2) + "\n", encoding="utf-8"
     )
-    return load_catalog(manifest_path)
+    return catalog
 
 
 def _pair_json(ldb: str, ltab: str, lcol: str, rdb: str, rtab: str, rcol: str) -> dict:
@@ -509,8 +508,18 @@ def _pair_json(ldb: str, ltab: str, lcol: str, rdb: str, rtab: str, rcol: str) -
 # scoring discovered pairs against the sidecar
 
 def load_ground_truth(path: str | Path) -> dict:
-    """Read a ``ground_truth.json`` sidecar."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a ``ground_truth.json`` sidecar.
+
+    Raises :class:`MissingFileError` if the file does not exist and
+    :class:`ManifestParseError` naming it if it is not UTF-8 JSON.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise MissingFileError(f"ground truth not found: {path}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ManifestParseError(f"ground truth {path} is not valid JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)

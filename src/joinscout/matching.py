@@ -165,8 +165,6 @@ _BOUND_SLACK = 1e-9
 
 def _score_bound(names: list[str], cfg: MatchConfig) -> np.ndarray:
     """An upper bound on ``score_pair``'s ``total_score`` for every pair of ``names``."""
-    if not names:
-        return np.zeros((0, 0))
     quick, cosine, overlap = similarity.name_signal_bounds(names)
     return cfg.alpha * quick + cfg.beta * cosine + cfg.gamma * overlap + _BOUND_SLACK
 

@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from joinscout.catalog import (
     Catalog,
     Column,
     ColumnRef,
     Database,
+    ForeignKey,
     Table,
     TableRef,
     fk_edges,
@@ -349,9 +354,10 @@ def _one_table_catalog(db_name: str, table_name: str) -> Catalog:
         ("d", "../escaped", "../escaped"),
         ("d", "T\\", "T\\"),
         ("d", "T\0", "T\0"),
+        ("manifest.json", "T", "manifest.json"),
     ],
     ids=["db-dotdot", "db-dot", "db-slash", "db-backslash", "db-nul",
-         "table-dotdot-slash", "table-backslash", "table-nul"],
+         "table-dotdot-slash", "table-backslash", "table-nul", "db-manifest-json"],
 )
 def test_save_rejects_names_that_leave_their_directory(tmp_path, db_name, table_name, offender):
     # Before, a database named ".." wrote its tables into the parent of out.
@@ -365,32 +371,109 @@ def _table(name: str, *columns: str) -> Table:
     return Table(name, tuple(Column(c, ("x",)) for c in columns))
 
 
+def _dangling_fk() -> Database:
+    table = Table("A", (Column("b_id", ("x",)),), foreign_keys=(ForeignKey(("b_id",), "B", ("id",)),))
+    return Database("d", (table,))
+
+
 @pytest.mark.parametrize(
-    "catalog, offender",
+    "build, error, offender",
     [
-        (Catalog(()), "no databases"),
-        (Catalog((Database("d", ()),)), "database 'd': it has no tables"),
-        (Catalog((Database("d", (_table("T"),)),)), "table 'T' of database 'd': it has no columns"),
-        (Catalog((Database("", (_table("T", "a"),)),)), "empty database name"),
-        (Catalog((Database("d", (_table("", "a"),)),)), "empty table name"),
-        (Catalog((Database("d", (_table("T", ""),)),)), "empty column name"),
+        (lambda: Catalog(()), ManifestParseError, "catalog has no databases"),
+        (lambda: Catalog((Database("d", ()),)), ManifestParseError, "database 'd' has no tables"),
+        (lambda: Catalog((Database("d", (_table("T"),)),)), ManifestParseError, "table 'T' has no columns"),
         (
-            Catalog((Database("d", (_table("T", "a"),)), Database("d", (_table("T", "b"),)))),
-            "two databases named 'd'",
+            lambda: Catalog((Database("", (_table("T", "a"),)),)),
+            ManifestParseError,
+            "catalog has an empty database name",
         ),
-        (Catalog((Database("d", (_table("T", "a"), _table("T", "b"))),)), "two tables named 'T'"),
-        (Catalog((Database("d", (_table("T", "a", "a"),)),)), "two columns named 'a'"),
+        (
+            lambda: Catalog((Database("d", (_table("", "a"),)),)),
+            ManifestParseError,
+            "database 'd' has an empty table name",
+        ),
+        (
+            lambda: Catalog((Database("d", (_table("T", ""),)),)),
+            ManifestParseError,
+            "table 'T' has an empty column name",
+        ),
+        (
+            lambda: Catalog((Database("d", (_table("T", "a"),)), Database("d", (_table("T", "b"),)))),
+            ManifestParseError,
+            "catalog has a duplicate database name 'd'",
+        ),
+        (
+            lambda: Catalog((Database("d", (_table("T", "a"), _table("T", "b"))),)),
+            ManifestParseError,
+            "database 'd' has a duplicate table name 'T'",
+        ),
+        (
+            lambda: Catalog((Database("d", (_table("T", "a", "a"),)),)),
+            ManifestParseError,
+            "table 'T' has a duplicate column name 'a'",
+        ),
+        (
+            lambda: Table("T", (Column("a", ("1", "2", "3")), Column("b", ("x",)))),
+            ManifestParseError,
+            "table 'T' has columns of different lengths [1, 3]",
+        ),
+        (_dangling_fk, DanglingForeignKeyError, "d.A: foreign key references unknown table 'B'"),
     ],
     ids=["no-databases", "no-tables", "no-columns", "empty-database", "empty-table",
-         "empty-column", "two-databases", "two-tables", "two-columns"],
+         "empty-column", "two-databases", "two-tables", "two-columns", "unequal-lengths",
+         "dangling-foreign-key"],
 )
-def test_save_rejects_catalogs_that_load_rejects(tmp_path, catalog, offender):
-    # load_catalog rejects each of these; two databases or tables of one
-    # name would also write the second CSV over the first.
-    out = tmp_path / "nested" / "out"
-    with pytest.raises(ValueError, match=re.escape(offender)):
-        save_catalog(catalog, out)
+def test_save_rejects_catalogs_that_load_rejects(tmp_path, build, error, offender):
+    # The constructors refuse each of these with the error load_catalog
+    # raises, so save_catalog never receives one.  A table with columns of
+    # unequal length would have no row count, and save only as many rows as
+    # its shortest column.
+    with pytest.raises(error, match=re.escape(offender)):
+        save_catalog(build(), tmp_path / "out")
     assert list(tmp_path.iterdir()) == []
+
+
+# Dots and slashes in file names, and cells that csv must quote.
+FILE_NAMES = st.sampled_from([".", "..", "a.", "..b"]) | st.text(alphabet="ab./", min_size=1, max_size=3)
+COLUMN_NAMES = st.text(alphabet='ab.,"\r\n', min_size=1, max_size=3)
+CELLS = st.text(alphabet='ab.,"\r\n ', max_size=4)
+
+
+@st.composite
+def catalogs(draw) -> Catalog:
+    """A catalog the constructors accept, with a foreign key per later table."""
+    databases = []
+    for db_name in draw(st.lists(FILE_NAMES, min_size=1, max_size=3, unique=True)):
+        tables: list[Table] = []
+        for tab_name in draw(st.lists(FILE_NAMES, min_size=1, max_size=3, unique=True)):
+            names = draw(st.lists(COLUMN_NAMES, min_size=1, max_size=3, unique=True))
+            n_rows = draw(st.integers(0, 3))
+            columns = tuple(Column(name, tuple(draw(st.lists(CELLS, min_size=n_rows, max_size=n_rows))))
+                            for name in names)
+            fks = ()
+            if tables and draw(st.booleans()):
+                first = tables[0]
+                fks = (ForeignKey((names[0],), first.name, (first.column_names[0],)),)
+            primary_key = draw(st.sampled_from([None, (names[-1],)]))
+            tables.append(Table(tab_name, columns, primary_key=primary_key, foreign_keys=fks))
+        databases.append(Database(db_name, tuple(tables)))
+    return Catalog(tuple(databases))
+
+
+@given(catalogs())
+@settings(max_examples=150, deadline=None)
+def test_every_catalog_saves_and_loads_back_or_is_refused_by_name(catalog):
+    names = [db.name for db in catalog.databases]
+    names += [tab.name for db in catalog.databases for tab in db.tables]
+    plain = all("/" not in name for name in names) and not {".", ".."} & {db.name for db in catalog.databases}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        if plain:
+            assert load_catalog(save_catalog(catalog, out)) == catalog
+        else:
+            with pytest.raises(ValueError, match="not a plain file name"):
+                save_catalog(catalog, out)
+            assert not out.exists()
 
 
 def test_save_keeps_dotted_names(tmp_path):

@@ -5,8 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -393,3 +395,31 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == EXIT_OK
     assert __version__ in proc.stdout
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # Each run is a fresh interpreter, so str hashes and set order differ
+    # between the two seeds; no output byte may follow them.
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for hash_seed in ("0", "1"):
+        root = tmp_path / hash_seed
+        root.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+        stdout = [
+            subprocess.run(
+                [sys.executable, "-m", "joinscout.cli", *argv],
+                cwd=root, env=env, capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+            for argv in (
+                ["generate", "--out", "data", "--seed", "0"],
+                ["discover", "data/manifest.json", "--graph-out", "graph.json"],
+                ["join", "graph.json", "data/manifest.json", "hospital_db.Doctors",
+                 "public_info_db.Hospital_Survey", "--out", "joined.csv"],
+                ["join", "graph.json", "data/manifest.json", "hospital_db.Patients",
+                 "public_info_db.Citizen_Registry"],
+            )
+        ]
+        outputs.append((stdout, (root / "graph.json").read_bytes(), (root / "joined.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][2].count(b"\r\n") > 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from joinscout import wordlists
-from joinscout.catalog import Catalog, ColumnRef, TableRef
-from joinscout.errors import SingleTokenError, ValueTooShortError
+from joinscout.catalog import Catalog, ColumnRef, TableRef, load_catalog
+from joinscout.errors import ManifestParseError, MissingFileError, SingleTokenError, ValueTooShortError
 from joinscout.fuzzgen import (
     GROUND_TRUTH_FILE,
     FuzzConfig,
@@ -251,6 +252,12 @@ class TestGenerateCatalog:
         assert rows["Clinics"] == 26        # capped by the surname pool
         assert rows["Pharmacies"] == 10     # capped by the name pool
 
+    @pytest.mark.parametrize("seed, scale", [(0, 1), (1, 4), (42, 13)])
+    def test_returned_catalog_equals_what_loads_back(self, tmp_path, seed, scale):
+        # generate_catalog returns the catalog it built, without reading it back.
+        catalog = generate_catalog(tmp_path, seed=seed, scale=scale)
+        assert load_catalog(tmp_path / "manifest.json") == catalog
+
     @pytest.mark.parametrize("scale", [0, -1, 14])
     def test_scale_out_of_range(self, tmp_path, scale):
         with pytest.raises(ValueError):
@@ -438,3 +445,18 @@ def test_load_ground_truth_round_trip(tmp_path):
     path = tmp_path / "gt.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert load_ground_truth(path) == doc
+
+
+@pytest.mark.parametrize(
+    "body", [b'{"seed": 3,', b'{"seed": "caf\xe9"}'], ids=["not-json", "not-utf8"]
+)
+def test_load_ground_truth_names_a_bad_file(tmp_path, body):
+    path = tmp_path / "gt.json"
+    path.write_bytes(body)
+    with pytest.raises(ManifestParseError, match=re.escape(f"ground truth {path} is not valid JSON")):
+        load_ground_truth(path)
+
+
+def test_load_ground_truth_missing_file(tmp_path):
+    with pytest.raises(MissingFileError, match="ground truth not found"):
+        load_ground_truth(tmp_path / "gt.json")
