@@ -19,7 +19,8 @@ command-line pipeline.
 Every name in a library module's ``__all__`` is also importable from the
 package itself; :mod:`joinscout.cli` is not re-exported.  ``__all__`` is the
 public API.  A name without a leading underscore that is not in ``__all__``
-is shared with sibling modules and tests; a ``_`` name stays in its module.
+is shared with sibling modules, tests and the benchmark; a ``_`` name stays
+in its module.
 """
 
 from . import catalog, errors, executor, fuzzgen, graph, matching, similarity, validation

@@ -46,7 +46,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import (
     DanglingForeignKeyError,
@@ -252,7 +252,19 @@ def _parse_foreign_key(raw: object, where: str) -> ForeignKey:
     ref_columns = _parse_key(raw.get("ref_columns"), f"{where}: foreign key 'ref_columns'")
     ref_table = raw.get("ref_table")
     _require(isinstance(ref_table, str), f"{where}: 'ref_table' must be a string")
-    return ForeignKey(columns=columns, ref_table=ref_table, ref_columns=ref_columns)  # type: ignore[arg-type]
+    return _located(where, ForeignKey, columns=columns, ref_table=ref_table, ref_columns=ref_columns)
+
+
+_Built = TypeVar("_Built")
+
+
+def _located(where: str, make: Callable[..., _Built], **fields: object) -> _Built:
+    """``make(**fields)``, with ``where`` put in front of the message of a
+    catalog rule that the constructor finds broken."""
+    try:
+        return make(**fields)
+    except (ManifestParseError, DanglingForeignKeyError) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def _read_csv_table(path: Path, expect_columns: list[str], where: str) -> list[tuple[str, ...]]:
@@ -363,12 +375,7 @@ def load_catalog(manifest_path: str | Path) -> Catalog:
 
             columns = tuple(Column(name, vals) for name, vals in zip(raw_columns, grid))
             tables.append(
-                Table(
-                    name=tab_name,
-                    columns=columns,
-                    primary_key=primary_key,
-                    foreign_keys=tuple(fks),
-                )
+                _located(where, Table, name=tab_name, columns=columns, primary_key=primary_key, foreign_keys=tuple(fks))
             )
         databases.append(Database(name=db_name, tables=tuple(tables)))
     return Catalog(databases=tuple(databases))

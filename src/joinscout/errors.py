@@ -3,20 +3,22 @@
 __all__ = [
     "ConfigError",
     "DanglingForeignKeyError",
-    "EmptyColumnError",
     "GraphFormatError",
     "JoinScoutError",
     "ManifestParseError",
     "MissingFileError",
     "SchemaMismatchError",
-    "SingleTokenError",
     "UnknownTableError",
-    "ValueTooShortError",
 ]
 
 
 class JoinScoutError(Exception):
-    """Base class for every error this package raises on purpose."""
+    """Base class for every error this package raises on purpose.
+
+    A bad file, manifest, catalog, graph, configuration or table name
+    raises one of its subclasses; a bad argument to a function raises
+    :class:`ValueError`.
+    """
 
 
 class ManifestParseError(JoinScoutError):
@@ -42,10 +44,6 @@ class UnknownTableError(JoinScoutError):
     """A table reference does not resolve against the catalog or graph."""
 
 
-class EmptyColumnError(JoinScoutError):
-    """A value-level comparison received a column with no usable values."""
-
-
 class ConfigError(JoinScoutError):
     """A scoring-configuration file is malformed or out of range."""
 
@@ -53,10 +51,3 @@ class ConfigError(JoinScoutError):
 class GraphFormatError(JoinScoutError):
     """A serialized join graph is malformed."""
 
-
-class ValueTooShortError(JoinScoutError):
-    """The input string is too short (or has nothing removable) to fuzz."""
-
-
-class SingleTokenError(JoinScoutError):
-    """Name reordering needs at least two whitespace-separated tokens."""

@@ -39,7 +39,7 @@ from .catalog import (
     Table,
     save_catalog,
 )
-from .errors import ManifestParseError, MissingFileError, SingleTokenError, ValueTooShortError
+from .errors import ManifestParseError, MissingFileError
 from .matching import ColumnMatch
 from .validation import ValidationResult
 
@@ -86,24 +86,27 @@ def remove_chars(value: str, rng: random.Random) -> str:
 
     Only ASCII alphanumerics are eligible: deleting punctuation or spaces
     could leave the normalized form unchanged, i.e. not fuzzed at all.
-    Raises :class:`ValueTooShortError` for strings shorter than 3
-    characters or with no removable characters.
+    Raises :class:`ValueError` for strings shorter than 3 characters or
+    with no removable characters.
     """
     if len(value) < 3:
-        raise ValueTooShortError(f"cannot remove characters from {value!r}")
+        raise ValueError(f"cannot remove characters from {value!r}")
     eligible = [i for i, ch in enumerate(value) if ch.isascii() and ch.isalnum()]
     if not eligible:
-        raise ValueTooShortError(f"nothing removable in {value!r}")
+        raise ValueError(f"nothing removable in {value!r}")
     count = 1 if len(eligible) == 1 else rng.randint(1, 2)
     drop = set(rng.sample(eligible, count))
     return "".join(ch for i, ch in enumerate(value) if i not in drop)
 
 
 def reorder_name(value: str) -> str:
-    """Reverse the whitespace-separated token order: "John Smith" -> "Smith John"."""
+    """Reverse the whitespace-separated token order: "John Smith" -> "Smith John".
+
+    Raises :class:`ValueError` for fewer than two tokens.
+    """
     tokens = value.split()
     if len(tokens) < 2:
-        raise SingleTokenError(f"cannot reorder single-token value {value!r}")
+        raise ValueError(f"cannot reorder single-token value {value!r}")
     return " ".join(reversed(tokens))
 
 

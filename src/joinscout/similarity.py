@@ -10,6 +10,10 @@ is embedded and tokenised once.  :func:`gestalt_ratio` is difflib's
 ``SequenceMatcher`` ratio on the case-folded names; column matching runs it
 only on the pairs whose score bound reaches the threshold.
 
+Row values are compared by :func:`similarity_matrix` over their
+:func:`sorted_token_form`: the one token-sort kernel behind validation and
+the executor's fuzzy hops.
+
 All similarity functions return floats in ``[0.0, 1.0]``.  All but
 :func:`gestalt_ratio` are symmetric in their two string arguments; the
 gestalt ratio's block matching depends on which string comes first
@@ -41,7 +45,6 @@ __all__ = [
     "sorted_token_form",
     "token_overlap",
     "token_sort_best",
-    "token_sort_matrix",
 ]
 
 _NON_ALNUM_RUN = re.compile(r"[^0-9a-z]+")
@@ -255,16 +258,10 @@ def token_sort_ratio(a: str, b: str) -> float:
     return indel_ratio(sorted_token_form(a), sorted_token_form(b))
 
 
-def token_sort_matrix(lefts: Sequence[str], rights: Sequence[str]) -> np.ndarray:
-    """``token_sort_ratio`` of every left × right pair, as an ``(L, R)`` array."""
-    return similarity_matrix(
-        [sorted_token_form(v) for v in lefts], [sorted_token_form(v) for v in rights]
-    )
-
-
 def token_sort_best(lefts: Sequence[str], rights: Sequence[str]) -> tuple[list[int], list[float]]:
     """For each left value, the index of its first best right value and that
-    score: the row-wise ``argmax`` and ``max`` of :func:`token_sort_matrix`.
+    score: the row-wise ``argmax`` and ``max`` of :func:`similarity_matrix`
+    over the sorted-token forms of ``lefts`` and ``rights``.
 
     It runs exact first (Wang, Li & Feng, "Fast-Join", ICDE 2011).  A pair
     scores 1.0 exactly when its two sorted-token forms are equal, because

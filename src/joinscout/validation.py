@@ -3,10 +3,10 @@
 Column names can agree by accident, so every candidate pair must also
 survive a look at the data:
 
-* ``value_score`` — for each left-side value, the best token-sort
+* the value score — for each left-side value, the best token-sort
   similarity against any right-side value, averaged over the left side.
   High when most left values have *some* plausible partner.
-* ``fuzzy_jaccard`` — a soft intersection size from greedy one-to-one
+* the fuzzy Jaccard ``s`` — a soft intersection size from greedy one-to-one
   matching of value pairs at or above the row threshold, plugged into the
   Jaccard formula ``m / (|L| + |R| - m)``.  This is the edge strength the
   join graph consumes.
@@ -16,6 +16,9 @@ down to a seeded deterministic sample of ``sample_cap`` values.
 ``validate_many`` is the one validation loop: it samples each column once
 per call and puts the sample in sorted-token form once, then reads both
 scores of a candidate from one ``similarity_matrix`` of those forms.
+``value_score`` and ``fuzzy_jaccard`` score one pair of value lists the
+same way; they are not in ``__all__``, and the benchmark and the tests
+call them to time and check each score on its own.
 """
 
 from __future__ import annotations
@@ -27,17 +30,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .catalog import Catalog, ColumnRef
-from .errors import EmptyColumnError
 from .matching import ColumnMatch, MatchConfig
-from .similarity import similarity_matrix, sorted_token_form, token_sort_matrix
+from .similarity import similarity_matrix, sorted_token_form
 
-__all__ = [
-    "ValidationResult",
-    "fuzzy_jaccard",
-    "sample_distinct",
-    "validate_many",
-    "value_score",
-]
+__all__ = ["ValidationResult", "sample_distinct", "validate_many"]
 
 
 @dataclass(frozen=True)
@@ -54,14 +50,14 @@ class ValidationResult:
 def value_score(left_values: Sequence[str], right_values: Sequence[str]) -> float:
     """Mean over left values of the best token-sort similarity on the right.
 
-    Empty strings are dropped first; raises :class:`EmptyColumnError` if
-    either side has nothing left.
+    Empty strings are dropped first; raises :class:`ValueError` if either
+    side has nothing left.
     """
-    lefts = [v for v in left_values if v]
-    rights = [v for v in right_values if v]
+    lefts = [sorted_token_form(v) for v in left_values if v]
+    rights = [sorted_token_form(v) for v in right_values if v]
     if not lefts or not rights:
-        raise EmptyColumnError("value_score needs non-empty values on both sides")
-    return _value_score(token_sort_matrix(lefts, rights))
+        raise ValueError("value_score needs non-empty values on both sides")
+    return _value_score(similarity_matrix(lefts, rights))
 
 
 def fuzzy_jaccard(
@@ -75,13 +71,14 @@ def fuzzy_jaccard(
     and greedily locked into a one-to-one matching; the matched count ``m``
     then plays the intersection in ``m / (|L| + |R| - m)``.  Ties are taken
     in the order of the sorted value pair, which makes the result symmetric
-    in its arguments.
+    in its arguments.  Raises :class:`ValueError` if either side has no
+    non-empty value.
     """
-    lefts = sorted({v for v in left_values if v})
-    rights = sorted({v for v in right_values if v})
+    lefts = [sorted_token_form(v) for v in sorted({v for v in left_values if v})]
+    rights = [sorted_token_form(v) for v in sorted({v for v in right_values if v})]
     if not lefts or not rights:
-        raise EmptyColumnError("fuzzy_jaccard needs non-empty values on both sides")
-    return _fuzzy_jaccard(token_sort_matrix(lefts, rights), row_threshold)
+        raise ValueError("fuzzy_jaccard needs non-empty values on both sides")
+    return _fuzzy_jaccard(similarity_matrix(lefts, rights), row_threshold)
 
 
 def _value_score(sims: np.ndarray) -> float:
@@ -92,7 +89,7 @@ def _value_score(sims: np.ndarray) -> float:
 def _fuzzy_jaccard(sims: np.ndarray, row_threshold: float) -> float:
     """Greedy fuzzy Jaccard of two sorted lists of distinct values.
 
-    ``sims`` is their ``token_sort_matrix``.  Cells at or above the
+    ``sims`` is their token-sort similarity matrix.  Cells at or above the
     threshold are taken by descending similarity, ties in (left, right)
     order.  The greedy loop takes a cell unless an earlier cell shares its
     left or its right value, so the matching depends only on the order of

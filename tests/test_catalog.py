@@ -271,6 +271,60 @@ def test_dangling_primary_key(tmp_path):
         load_catalog(path)
 
 
+_FK = {"columns": ["b_id"], "ref_table": "B", "ref_columns": ["id"]}
+
+
+@pytest.mark.parametrize(
+    "a_entry,b_entry,error,message",
+    [
+        # A rule a constructor enforces gets the manifest location once.
+        (
+            {"foreign_keys": [{**_FK, "ref_columns": ["id", "id"]}]},
+            {},
+            ManifestParseError,
+            "d.A: foreign key to 'B': arity mismatch (1 vs 2)",
+        ),
+        (
+            {"foreign_keys": [_FK]},
+            {"primary_key": ["ghost"]},
+            DanglingForeignKeyError,
+            "d.B: table 'B': primary key column 'ghost' does not exist",
+        ),
+        # load_catalog locates these itself; they are not prefixed again.
+        (
+            {"columns": []},
+            {},
+            ManifestParseError,
+            "d.A: 'columns' must be a non-empty list of strings",
+        ),
+        (
+            {"foreign_keys": [{**_FK, "ref_table": 7}]},
+            {},
+            ManifestParseError,
+            "d.A: 'ref_table' must be a string",
+        ),
+    ],
+    ids=["fk-arity", "pk-ghost", "columns-empty", "fk-ref-table-type"],
+)
+def test_load_errors_name_their_table_once(tmp_path, a_entry, b_entry, error, message):
+    path = write_catalog_files(
+        tmp_path,
+        {
+            "d": {
+                "A": {"columns": ["id", "b_id"], "rows": [["1", "x"]]},
+                "B": {"columns": ["id"], "rows": [["x"]]},
+            }
+        },
+    )
+    doc = json.loads(path.read_text())
+    doc["databases"][0]["tables"][0].update(a_entry)
+    doc["databases"][0]["tables"][1].update(b_entry)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error) as excinfo:
+        load_catalog(path)
+    assert str(excinfo.value) == message
+
+
 def test_accessor_errors(tiny_manifest):
     cat = load_catalog(tiny_manifest)
     with pytest.raises(UnknownTableError):

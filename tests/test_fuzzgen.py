@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from joinscout import wordlists
 from joinscout.catalog import Catalog, ColumnRef, TableRef, load_catalog
-from joinscout.errors import ManifestParseError, MissingFileError, SingleTokenError, ValueTooShortError
+from joinscout.errors import ManifestParseError, MissingFileError
 from joinscout.fuzzgen import (
     GROUND_TRUTH_FILE,
     FuzzConfig,
@@ -64,14 +64,14 @@ class TestRemoveChars:
 
     @pytest.mark.parametrize("bad", ["", "ab", "---", "  . "])
     def test_too_short_or_nothing_removable(self, bad):
-        with pytest.raises(ValueTooShortError):
+        with pytest.raises(ValueError, match="cannot remove|nothing removable"):
             remove_chars(bad, random.Random(0))
 
     @given(st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=3, max_size=30))
     def test_length_always_shrinks(self, value):
         rng = random.Random(11)
         if not any(ch.isascii() and ch.isalnum() for ch in value):
-            with pytest.raises(ValueTooShortError):
+            with pytest.raises(ValueError, match="nothing removable"):
                 remove_chars(value, rng)
         else:
             out = remove_chars(value, rng)
@@ -93,7 +93,7 @@ class TestReorderName:
 
     @pytest.mark.parametrize("bad", ["Mononym", "", "   "])
     def test_single_token(self, bad):
-        with pytest.raises(SingleTokenError):
+        with pytest.raises(ValueError, match="single-token"):
             reorder_name(bad)
 
 

@@ -51,9 +51,8 @@ PUBLIC_NAMES = [
     "Catalog", "Column", "ColumnRef", "Database", "ForeignKey", "Table", "TableRef",
     "fk_edges", "load_catalog", "save_catalog",
     # errors
-    "ConfigError", "DanglingForeignKeyError", "EmptyColumnError", "GraphFormatError",
-    "JoinScoutError", "ManifestParseError", "MissingFileError", "SchemaMismatchError",
-    "SingleTokenError", "UnknownTableError", "ValueTooShortError",
+    "ConfigError", "DanglingForeignKeyError", "GraphFormatError", "JoinScoutError",
+    "ManifestParseError", "MissingFileError", "SchemaMismatchError", "UnknownTableError",
     # executor
     "ResultTable", "execute_path", "write_csv",
     # fuzzgen
@@ -67,15 +66,75 @@ PUBLIC_NAMES = [
     "score_pair",
     # similarity
     "gestalt_ratio", "name_signal_bounds", "semantic_sim", "sorted_token_form",
-    "token_overlap", "token_sort_best", "token_sort_matrix",
+    "token_overlap", "token_sort_best",
     # validation
-    "ValidationResult", "fuzzy_jaccard", "sample_distinct", "validate_many", "value_score",
+    "ValidationResult", "sample_distinct", "validate_many",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 57
+    assert len(PUBLIC_NAMES) == 51
     assert joinscout.__all__ == PUBLIC_NAMES
+
+
+def raised_names(source: str) -> set[str]:
+    """The names ``source`` raises directly: ``raise X`` or ``raise X(...)``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                found.add(exc.id)
+    return found
+
+
+def test_every_error_class_is_raised():
+    # JoinScoutError is the base class a caller catches; every other class
+    # in errors.__all__ must be one the package actually raises.
+    sources = sorted((REPO / "src" / "joinscout").glob("*.py"))
+    raised = set().union(*(raised_names(path.read_text(encoding="utf-8")) for path in sources))
+    unused = set(joinscout.errors.__all__) - {"JoinScoutError"} - raised
+    assert unused == set()
+
+
+def joinscout_imports(source: str) -> list[tuple[str, str]]:
+    """Every ``(module, name)`` of a ``from joinscout... import name`` in ``source``."""
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and not node.level
+        and (node.module or "").split(".")[0] == "joinscout"
+        for alias in node.names
+    ]
+
+
+@pytest.mark.parametrize(
+    "source,imports",
+    [
+        ("from joinscout.validation import value_score as vs", [("joinscout.validation", "value_score")]),
+        ("from joinscout import graph, discover", [("joinscout", "graph"), ("joinscout", "discover")]),
+        ("def f():\n    from joinscout.fuzzgen import generate_catalog", [("joinscout.fuzzgen", "generate_catalog")]),
+        ("from .errors import ConfigError\nfrom tracing import Tracer", []),
+    ],
+)
+def test_joinscout_imports_finds_each_form(source, imports):
+    assert joinscout_imports(source) == imports
+
+
+def test_benchmark_imports_exist():
+    # perfbench/ is the benchmark's own code and changes only with the
+    # benchmark, so a name it imports must not disappear from the package.
+    imports = sorted(
+        (path.name, module, name)
+        for path in (REPO / "perfbench").glob("*.py")
+        for module, name in joinscout_imports(path.read_text(encoding="utf-8"))
+    )
+    assert ("ops.py", "joinscout.validation", "value_score") in imports
+    missing = [
+        (file, module, name) for file, module, name in imports
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []
 
 
 def _is_private(name: str) -> bool:
