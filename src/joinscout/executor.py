@@ -6,14 +6,16 @@ hops match each left value to its single best right value by token-sort
 similarity, keep matches at or above the row threshold, and append a
 ``_fuzzy_score_<hop>`` column recording the match strength.
 
-A fuzzy hop runs exact first, through
-:func:`~joinscout.similarity.token_sort_best`.  A left value whose
-sorted-token form equals the form of a right value is matched to the
-smallest such right value with score 1.0 by a hash lookup, and only the
-other left values go through the similarity kernel.  The output bytes are
-those of scoring every pair: a score is 1.0 exactly when the two forms are
-equal, so the first maximum of the full row is that same right value;
-``1.0`` prints as ``1.000``; and a row threshold is at most 1, so an exact
+A fuzzy hop compares sorted-token forms and runs exact first (Wang, Li &
+Feng, "Fast-Join", ICDE 2011).  A left value whose form some right value
+has takes, with score 1.0, the first row of the smallest such right value.
+The distinct forms of the other left values go through
+:func:`~joinscout.similarity.similarity_matrix` once, against the distinct
+right forms in the order of their smallest values, and each takes its
+row's first maximum.  The bytes are those of scoring every pair of values:
+a score is 1.0 exactly when the two forms are equal (``2 * LCS == |a| +
+|b|`` only for equal strings), and values that share a form score alike.
+``1.0`` prints as ``1.000``, and a row threshold is at most 1, so an exact
 match always passes it.
 
 Everything stays text, so a result round-trips through CSV unchanged.
@@ -28,13 +30,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterator
 
 from .catalog import Catalog, Table, TableRef
 from .errors import UnknownTableError
 from .graph import EdgeKind, JoinPath
 from .matching import MatchConfig
-from .similarity import token_sort_best
+from .similarity import similarity_matrix, sorted_token_form
 
 __all__ = ["ResultTable", "execute_path", "write_csv"]
 
@@ -126,15 +128,10 @@ def execute_path(
                 value = right_key(rrow)
                 if value and value not in first_row_of:
                     first_row_of[value] = rrow
-            right_values = sorted(first_row_of)
             left_values = [v for v in dict.fromkeys(map(left_key, last_rows)) if v]
-            if right_values:
-                # The first best right value is the smallest tied one.
-                best = token_sort_best(left_values, right_values)
-                for lval, ridx, score in zip(left_values, *best):
-                    if score >= cfg.row_threshold:
-                        rrow = first_row_of[right_values[ridx]]
-                        matches[lval] = [(rrow + (f"{score:.3f}",), rrow)]
+            for lval, rrow, score in _best_rows(left_values, first_row_of):
+                if score >= cfg.row_threshold:
+                    matches[lval] = [(rrow + (f"{score:.3f}",), rrow)]
             score_name = f"_fuzzy_score_{hop}"
             columns.extend((right_ref, n) for n in right_table.column_names)
             columns.append((right_ref, score_name))
@@ -150,6 +147,31 @@ def execute_path(
         last_rows = new_last
 
     return ResultTable(columns=columns, rows=acc_rows, fuzzy_score_columns=score_columns)
+
+
+def _best_rows(
+    left_values: list[str], first_row_of: dict[str, tuple[str, ...]]
+) -> Iterator[tuple[str, tuple[str, ...], float]]:
+    """Each of ``left_values`` with its best right row and score, given the
+    first row of each right value.  Ties go to the smallest right value."""
+    row_of: dict[str, tuple[str, ...]] = {}
+    for value in sorted(first_row_of):
+        row_of.setdefault(sorted_token_form(value), first_row_of[value])
+    rest: dict[str, list[str]] = {}
+    for value in left_values:
+        form = sorted_token_form(value)
+        rrow = row_of.get(form)
+        if rrow is None:
+            rest.setdefault(form, []).append(value)
+        else:
+            yield value, rrow, 1.0
+    if rest and row_of:
+        sims = similarity_matrix(list(rest), list(row_of))
+        right_rows = list(row_of.values())
+        best = zip(sims.argmax(axis=1).tolist(), sims.max(axis=1).tolist())
+        for values, (j, score) in zip(rest.values(), best):
+            for value in values:
+                yield value, right_rows[j], score
 
 
 def _check_hops(path: JoinPath) -> None:

@@ -12,7 +12,9 @@ only on the pairs whose score bound reaches the threshold.
 
 Row values are compared by :func:`similarity_matrix` over their
 :func:`sorted_token_form`: the one token-sort kernel behind validation and
-the executor's fuzzy hops.
+the executor's fuzzy hops.  Each caller picks the forms it scores: a
+fuzzy hop passes the distinct forms without an exact-form partner on the
+left and every distinct form on the right.
 
 All similarity functions return floats in ``[0.0, 1.0]``.  All but
 :func:`gestalt_ratio` are symmetric in their two string arguments; the
@@ -44,7 +46,6 @@ __all__ = [
     "semantic_sim",
     "sorted_token_form",
     "token_overlap",
-    "token_sort_best",
 ]
 
 _NON_ALNUM_RUN = re.compile(r"[^0-9a-z]+")
@@ -67,7 +68,8 @@ DEFAULT_SYNONYMS: dict[str, str] = {
 
 
 def normalize(text: str) -> str:
-    """Lowercase, collapse non-alphanumeric runs to single spaces, trim."""
+    """Lowercase, turn each run of characters other than ASCII letters and
+    digits into one space, trim: ``normalize("Müller")`` is ``"m ller"``."""
     return _NON_ALNUM_RUN.sub(" ", text.lower()).strip()
 
 
@@ -246,7 +248,8 @@ def _spread(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sorted_token_form(text: str) -> str:
-    """Normalize, split on whitespace, sort tokens, re-join with spaces."""
+    """Normalize, split on whitespace, sort tokens, re-join with spaces:
+    ``sorted_token_form("Müller, José")`` is ``"jos ller m"``."""
     return " ".join(sorted(normalize(text).split()))
 
 
@@ -258,45 +261,6 @@ def token_sort_ratio(a: str, b: str) -> float:
     return indel_ratio(sorted_token_form(a), sorted_token_form(b))
 
 
-def token_sort_best(lefts: Sequence[str], rights: Sequence[str]) -> tuple[list[int], list[float]]:
-    """For each left value, the index of its first best right value and that
-    score: the row-wise ``argmax`` and ``max`` of :func:`similarity_matrix`
-    over the sorted-token forms of ``lefts`` and ``rights``.
-
-    It runs exact first (Wang, Li & Feng, "Fast-Join", ICDE 2011).  A pair
-    scores 1.0 exactly when its two sorted-token forms are equal, because
-    ``2 * LCS == |a| + |b|`` only for equal strings; two empty forms are
-    equal too.  So a left value whose form some right value has takes the
-    smallest such index and 1.0 from a hash map, and only the other left
-    values go through :func:`similarity_matrix`, against every right form.
-    ``rights`` must not be empty.
-    """
-    if not rights:
-        raise ValueError("token_sort_best needs at least one right value")
-    right_forms = [sorted_token_form(v) for v in rights]
-    first_index: dict[str, int] = {}
-    for j, form in enumerate(right_forms):
-        first_index.setdefault(form, j)
-    best = [0] * len(lefts)
-    scores = [1.0] * len(lefts)
-    rest: list[int] = []
-    rest_forms: list[str] = []
-    for i, value in enumerate(lefts):
-        form = sorted_token_form(value)
-        j = first_index.get(form)
-        if j is None:
-            rest.append(i)
-            rest_forms.append(form)
-        else:
-            best[i] = j
-    if rest:
-        sims = similarity_matrix(rest_forms, right_forms)
-        for i, j, score in zip(rest, sims.argmax(axis=1).tolist(), sims.max(axis=1).tolist()):
-            best[i] = j
-            scores[i] = score
-    return best, scores
-
-
 # Most entries each memo in this module holds: far more distinct column
 # names than a catalog has, and a bound on memory for a long-lived process
 # that scores many catalogs.
@@ -305,7 +269,9 @@ _MEMO_LIMIT = 4096
 
 @functools.lru_cache(maxsize=_MEMO_LIMIT)
 def token_set(text: str) -> frozenset[str]:
-    """Tokens of ``text``, splitting on non-alphanumerics and camelCase."""
+    """Tokens of ``text``, splitting on camelCase and on every character
+    other than an ASCII letter or digit: ``token_set("patientNäme")`` is
+    ``{"patient", "n", "me"}``."""
     return frozenset(normalize(_CAMEL_BOUNDARY.sub(" ", text)).split())
 
 

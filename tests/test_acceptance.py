@@ -7,6 +7,9 @@ channel so the verdicts are visible in a plain ``pytest -v`` run.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
+import itertools
 import math
 import random
 import time
@@ -18,6 +21,7 @@ import pytest
 from joinscout import similarity
 from joinscout.catalog import TableRef, load_catalog
 from joinscout.cli import EXIT_OK, main
+from joinscout.executor import execute_path, write_csv
 from joinscout.fuzzgen import evaluate_discovery, generate_catalog, load_ground_truth
 from joinscout.graph import (
     EdgeKind,
@@ -26,6 +30,7 @@ from joinscout.graph import (
     discover,
     edge_weight,
     graph_from_json,
+    graph_to_json,
     shortest_path,
 )
 from joinscout.matching import MatchConfig
@@ -389,3 +394,53 @@ def test_criterion_7_pipeline_determinism(tmp_path, announce):
         f"two seeded runs byte-identical across {len(first['catalog'])} catalog "
         "files, graph JSON, and join CSV",
     )
+
+
+# sha256 of the graph JSON and of every all-pairs join CSV for fuzzgen seed
+# 0 at each scale.  The CSV digest covers, in
+# ``itertools.permutations(graph.nodes, 2)`` order, each reachable pair's
+# ``"source -> target"`` line followed by its ``write_csv`` text.  A change
+# that keeps the join's bytes keeps these; CI checks them on every Python
+# version it runs.
+PINNED_PIPELINE_SHA256 = {
+    1: (
+        "9f4223b9d892ab8c7540f04c9c7b57b31b1af7eef7de2836f404c6bf19180817",
+        "ca8d12d9e3c771c2257f084ff066e15ca5f0deeae5fe674ed286813b0bbf2b7e",
+    ),
+    4: (
+        "2f25c8d460bc1c2459cca49de7316cb30ba9fb77574f83a3cf38bc63d46e8f19",
+        "8a7b369bc731d429b3d3b9d8161d040c14bffdf951f6c0e3d4fb118a0c396b53",
+    ),
+    13: (
+        "95020e8c073ec4307ac6266d7b2afb3145528e845ff1b9808d0054f5d9e349e8",
+        "9d59542ac68019cbd34391a7a30baeb93352ddac76fdc6ad8e5dd7522ab15d04",
+    ),
+}
+
+
+def pipeline_digests(catalog) -> tuple[str, str, int]:
+    """The graph-JSON digest, the all-pairs CSV digest and the number of
+    reachable ordered pairs of ``catalog``, discovered with the default config."""
+    cfg = MatchConfig()
+    _, _, graph = discover(catalog, cfg)
+    csvs = hashlib.sha256()
+    reachable = 0
+    for source, target in itertools.permutations(graph.nodes, 2):
+        path = shortest_path(graph, source, target)
+        if path is None:
+            continue
+        reachable += 1
+        text = io.StringIO(newline="")
+        write_csv(execute_path(path, catalog, cfg), text)
+        csvs.update(f"{source} -> {target}\n".encode("utf-8"))
+        csvs.update(text.getvalue().encode("utf-8"))
+    graph_digest = hashlib.sha256(graph_to_json(graph).encode("utf-8")).hexdigest()
+    return graph_digest, csvs.hexdigest(), reachable
+
+
+@pytest.mark.parametrize("scale", sorted(PINNED_PIPELINE_SHA256))
+def test_pipeline_bytes_are_pinned(tmp_path, scale):
+    catalog = generate_catalog(tmp_path, seed=0, scale=scale)
+    graph_digest, csv_digest, reachable = pipeline_digests(catalog)
+    assert reachable == 60
+    assert (graph_digest, csv_digest) == PINNED_PIPELINE_SHA256[scale]

@@ -552,20 +552,70 @@ class TestAgainstReferenceJoin:
         got = execute_path(path, catalog, MatchConfig(row_threshold=threshold))
         assert got == reference_join(path, catalog, threshold)
 
-    def test_kernel_sees_only_left_values_without_an_exact_partner(self, monkeypatch):
-        seen = []
-        kernel = similarity.similarity_matrix
-
-        def spy(left_forms, right_forms):
-            seen.append(list(left_forms))
-            return kernel(left_forms, right_forms)
-
-        monkeypatch.setattr(similarity, "similarity_matrix", spy)
+    def test_kernel_sees_only_left_values_without_an_exact_partner(self, kernel_calls):
         left = make_table("L", {"name": ["b a", "Carol White", "A, B", "zed", "--"]})
         right = make_table("R", {"label": ["a b", "Carol Whyte", "--", "zed q"]})
-        cat = Catalog(databases=(Database("d", (left, right)),))
-        lr, rr = TableRef("d", "L"), TableRef("d", "R")
-        path = make_path([lr, rr], [edge(lr, rr, EdgeKind.FUZZY, [("name", "label")])])
+        cat, path = one_fuzzy_hop(left, right)
         result = execute_path(path, cat)
-        assert seen == [["carol white", "zed"]]
+        # Right forms come in the order of their smallest raw values.
+        assert kernel_calls == [(["carol white", "zed"], ["", "carol whyte", "a b", "q zed"])]
         assert result == reference_join(path, cat, MatchConfig().row_threshold)
+
+    def test_exact_forms_take_the_first_row_of_the_smallest_right_value(self, kernel_calls):
+        # Every left form has a right partner, so the kernel never runs.
+        # "B A" sorts before "a b", and "-" before "--".
+        left = make_table("L", {"name": ["b a", "--", "A, B"]})
+        right = make_table(
+            "R", {"label": ["x", "a b", "--", "B A", "-", "B A"], "rid": list("123456")}
+        )
+        cat, path = one_fuzzy_hop(left, right)
+        result = execute_path(path, cat)
+        assert kernel_calls == []
+        assert result.rows == [
+            ("b a", "B A", "4", "1.000"),
+            ("--", "-", "5", "1.000"),
+            ("A, B", "B A", "4", "1.000"),
+        ]
+        assert result == reference_join(path, cat, MatchConfig().row_threshold)
+
+    def test_kernel_sees_each_distinct_form_once(self, kernel_calls):
+        # Two left values of one form with no exact partner; two right
+        # forms, each held by two values.
+        left = make_table("L", {"name": ["Smith, Jon", "jon smith"]})
+        right = make_table(
+            "R", {"label": ["jon smyth", "Doe Jane", "Smyth, Jon", "jane doe"], "rid": list("1234")}
+        )
+        cat, path = one_fuzzy_hop(left, right)
+        result = execute_path(path, cat)
+        assert kernel_calls == [(["jon smith"], ["doe jane", "jon smyth"])]
+        assert result.rows == [
+            ("Smith, Jon", "Smyth, Jon", "3", "0.889"),
+            ("jon smith", "Smyth, Jon", "3", "0.889"),
+        ]
+        assert result == reference_join(path, cat, MatchConfig().row_threshold)
+
+
+def one_fuzzy_hop(left, right):
+    """A catalog of ``left`` and ``right`` and the path of one fuzzy hop
+    from ``left``'s ``name`` column to ``right``'s ``label`` column."""
+    cat = Catalog(databases=(Database("d", (left, right)),))
+    lr, rr = TableRef("d", "L"), TableRef("d", "R")
+    return cat, make_path([lr, rr], [edge(lr, rr, EdgeKind.FUZZY, [("name", "label")])])
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The left and right forms of each ``similarity_matrix`` call during
+    the test.  The spy replaces the kernel both in the executor and in the
+    module that defines it, so a call is recorded whichever module the
+    fuzzy hop looks the kernel up in."""
+    calls = []
+    kernel = similarity.similarity_matrix
+
+    def spy(left_forms, right_forms):
+        calls.append((list(left_forms), list(right_forms)))
+        return kernel(left_forms, right_forms)
+
+    monkeypatch.setattr(similarity, "similarity_matrix", spy)
+    monkeypatch.setattr(executor, "similarity_matrix", spy, raising=False)
+    return calls

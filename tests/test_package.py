@@ -7,6 +7,7 @@ import ast
 import importlib
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,14 +67,14 @@ PUBLIC_NAMES = [
     "score_pair",
     # similarity
     "gestalt_ratio", "name_signal_bounds", "semantic_sim", "sorted_token_form",
-    "token_overlap", "token_sort_best",
+    "token_overlap",
     # validation
     "ValidationResult", "sample_distinct", "validate_many",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 51
+    assert len(PUBLIC_NAMES) == 50
     assert joinscout.__all__ == PUBLIC_NAMES
 
 
@@ -135,6 +136,42 @@ def test_benchmark_imports_exist():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def imported_top_level_names(source: str) -> set[str]:
+    """The top-level package of every absolute import in ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add((node.module or "").split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize(
+    "source,names",
+    [
+        ("import os.path, numpy as np", {"os", "numpy"}),
+        ("from joinscout.similarity import normalize", {"joinscout"}),
+        ("from . import similarity\nfrom .errors import ConfigError", set()),
+        ("def f():\n    import hypothesis", {"hypothesis"}),
+    ],
+)
+def test_imported_top_level_names_finds_each_form(source, names):
+    assert imported_top_level_names(source) == names
+
+
+def test_library_imports_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency; nothing else can be installed.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "joinscout"}
+    sources = sorted((REPO / "src" / "joinscout").glob("*.py"))
+    assert sources
+    found = {
+        path.name: sorted(imported_top_level_names(path.read_text(encoding="utf-8")) - allowed)
+        for path in sources
+    }
+    assert {name: extra for name, extra in found.items() if extra} == {}
 
 
 def _is_private(name: str) -> bool:
