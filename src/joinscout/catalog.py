@@ -288,14 +288,17 @@ def _read_csv_table(path: Path, expect_columns: list[str], where: str) -> list[t
             ncols = len(expect_columns)
             rows: list[list[str]] = []
             for row in reader:
-                # A blank line is no row, as in csv.DictReader; save_catalog never writes one.
-                if not row:
-                    continue
-                if len(row) > ncols:
+                width = len(row)
+                if width < ncols:
+                    # A blank line is no row, as in csv.DictReader; save_catalog never writes one.
+                    if not width:
+                        continue
+                    row += [""] * (ncols - width)
+                elif width > ncols:
                     raise SchemaMismatchError(
-                        f"{where}: {path.name} line {reader.line_num} has {len(row)} cells, expected at most {ncols}"
+                        f"{where}: {path.name} line {reader.line_num} has {width} cells, expected at most {ncols}"
                     )
-                rows.append(row + [""] * (ncols - len(row)))
+                rows.append(row)
         except csv.Error as exc:
             raise SchemaMismatchError(f"{where}: {path.name} line {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:

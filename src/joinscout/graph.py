@@ -138,7 +138,7 @@ def _fk_key_sets(catalog: Catalog, ref: TableRef, columns: Sequence[str]) -> fro
     """Distinct key tuples of ``columns`` in a table, dropping partial keys."""
     table = catalog.table(ref)
     cols = [table.column(name).values for name in columns]
-    return frozenset(key for key in zip(*cols) if all(key))
+    return frozenset(filter(all, zip(*cols)))
 
 
 def _oriented(left: TableRef, right: TableRef, pairs: tuple) -> tuple[TableRef, TableRef, tuple]:

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _NON_ALNUM_RUN = re.compile(r"[^0-9a-z]+")
+_TOKEN = re.compile(r"[0-9a-z]+")
 _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 
 # Canonical forms for terms that independent data sources routinely name
@@ -248,9 +249,11 @@ def _spread(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sorted_token_form(text: str) -> str:
-    """Normalize, split on whitespace, sort tokens, re-join with spaces:
-    ``sorted_token_form("Müller, José")`` is ``"jos ller m"``."""
-    return " ".join(sorted(normalize(text).split()))
+    """The tokens of :func:`normalize`, sorted and joined with spaces:
+    ``sorted_token_form("Müller, José")`` is ``"jos ller m"``.  The tokens
+    are the runs of ASCII letters and digits of the lowercased text, found
+    in one regex pass."""
+    return " ".join(sorted(_TOKEN.findall(text.lower())))
 
 
 def token_sort_ratio(a: str, b: str) -> float:

@@ -9,6 +9,16 @@ from pathlib import Path
 import pytest
 
 from joinscout.catalog import Catalog, Column, ColumnRef, Database, ForeignKey, Table
+from joinscout.matching import MatchConfig
+
+# Every field differs from its default, so a step that is not handed the
+# config and falls back to MatchConfig() changes the output.  sample_cap=20
+# binds on fuzzgen columns, so values with an exact partner on the other
+# side can fall out of the samples.
+NON_DEFAULT_CONFIG = MatchConfig(
+    alpha=0.2, beta=0.45, gamma=0.35, column_threshold=0.45, row_threshold=0.6,
+    sample_cap=20, epsilon=1e-3, seed=7,
+)
 
 
 def write_catalog_files(root: Path, layout: dict) -> Path:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import NON_DEFAULT_CONFIG
 
 from joinscout import similarity
 from joinscout.catalog import TableRef, load_catalog
@@ -444,3 +445,24 @@ def test_pipeline_bytes_are_pinned(tmp_path, scale):
     graph_digest, csv_digest, reachable = pipeline_digests(catalog)
     assert reachable == 60
     assert (graph_digest, csv_digest) == PINNED_PIPELINE_SHA256[scale]
+
+
+# sha256 over ``discover`` on the 17 catalogs (fuzzgen seeds 0–11 at scale
+# 1, 0–3 at scale 4, 0 at scale 13), each under MatchConfig() and then
+# NON_DEFAULT_CONFIG: per run, the repr of the candidates, the repr of the
+# validated pairs and the graph JSON, one line each.  NON_DEFAULT_CONFIG's
+# sample_cap binds, so it also covers samples that lose exact partners.
+PINNED_DISCOVER_SHA256 = "025e5d7b8e7fae5c11aef1ae0b4236c0c47d8eced2e84b3c068bd1a1bfd79a38"
+
+DIGEST_CATALOGS = [(1, seed) for seed in range(12)] + [(4, seed) for seed in range(4)] + [(13, 0)]
+
+
+def test_discover_bytes_are_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for scale, seed in DIGEST_CATALOGS:
+        catalog = generate_catalog(tmp_path / f"{scale}-{seed}", seed=seed, scale=scale)
+        for cfg in (MatchConfig(), NON_DEFAULT_CONFIG):
+            candidates, validated, graph = discover(catalog, cfg)
+            for text in (repr(candidates), repr(validated), graph_to_json(graph)):
+                digest.update(text.encode("utf-8") + b"\n")
+    assert digest.hexdigest() == PINNED_DISCOVER_SHA256

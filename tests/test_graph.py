@@ -13,6 +13,7 @@ import random
 from dataclasses import fields, replace
 
 import pytest
+from conftest import NON_DEFAULT_CONFIG
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -192,13 +193,6 @@ class TestBuildGraph:
 
 
 class TestDiscover:
-    # Every field differs from its default, so a step that is not handed the
-    # config and falls back to MatchConfig() changes the output.
-    NON_DEFAULT = MatchConfig(
-        alpha=0.2, beta=0.45, gamma=0.35, column_threshold=0.45, row_threshold=0.6,
-        sample_cap=20, epsilon=1e-3, seed=7,
-    )
-
     @staticmethod
     def hand_written(catalog, cfg):
         scored = (score_pair(l, r, cfg) for l, r in candidate_pairs(catalog, cfg))
@@ -209,12 +203,12 @@ class TestDiscover:
     def test_non_default_config_sets_every_field(self):
         default = MatchConfig()
         for f in fields(MatchConfig):
-            assert getattr(self.NON_DEFAULT, f.name) != getattr(default, f.name), f.name
+            assert getattr(NON_DEFAULT_CONFIG, f.name) != getattr(default, f.name), f.name
 
     @pytest.mark.parametrize("scale", [1, 4, 13])
     def test_equals_the_hand_written_pipeline(self, tmp_path, scale):
         catalog = generate_catalog(tmp_path, seed=0, scale=scale)
-        for config, cfg in [(None, MatchConfig()), (self.NON_DEFAULT, self.NON_DEFAULT)]:
+        for config, cfg in [(None, MatchConfig()), (NON_DEFAULT_CONFIG, NON_DEFAULT_CONFIG)]:
             candidates, validated, graph = discover(catalog, config)
             want_candidates, want_validated, want_graph = self.hand_written(catalog, cfg)
             assert validated, cfg

@@ -12,7 +12,7 @@ from difflib import SequenceMatcher
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from joinscout import similarity
@@ -67,6 +67,12 @@ class TestNormalize:
     def test_empty(self):
         assert normalize("") == ""
         assert normalize("!!!") == ""
+
+    @given(st.text(max_size=30))
+    @example("İstanbul straße ΣΑΣ\x00 x😀y")
+    @settings(max_examples=500)
+    def test_sorted_token_form_sorts_the_normalized_tokens(self, text):
+        assert sorted_token_form(text) == " ".join(sorted(normalize(text).split()))
 
 
 class TestGestaltRatio:

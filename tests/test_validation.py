@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from conftest import make_table
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from joinscout import similarity, validation
@@ -288,8 +289,6 @@ class TestValidate:
         assert validate_many([match], memory_catalog) == []
 
     def test_rejects_empty_column(self, memory_catalog, tmp_path):
-        from conftest import make_table
-
         empty = make_table("E", {"only": ["", "", ""]})
         cat = Catalog(
             databases=(
@@ -351,8 +350,6 @@ class TestValidateMany:
     def test_columns_of_one_name_in_two_tables_keep_their_own_values(self, memory_catalog):
         # alpha.Staff.name and alpha.Stock.name share a column name, not
         # values; each is checked on its own sample against beta's column.
-        from conftest import make_table
-
         staff = make_table("Staff", {"name": ["John Smith", "Mary Jones"]})
         stock = make_table("Stock", {"name": ["widget", "gadget", "sprocket"]})
         cat = Catalog((Database("alpha", (staff, stock)), memory_catalog.databases[1]))
@@ -370,10 +367,10 @@ class TestValidateMany:
         assert validate_many(matches[1:], cat) == [result]
 
 
-def test_each_column_is_token_formed_once_per_call(tmp_path, monkeypatch):
-    # Every candidate column is sampled and put in sorted-token form once,
-    # however many candidates it is in: at seed 0, scale 1, 581 calls for
-    # the 13 columns of 8 candidates.
+def test_each_distinct_sampled_value_is_token_formed_once_per_call(tmp_path, monkeypatch):
+    # Every distinct sampled value is put in sorted-token form once, however
+    # many candidate columns hold it: at seed 0, scale 1, 402 calls for the
+    # 581 sampled values of the 13 columns of 8 candidates.
     calls = []
 
     def counting(text):
@@ -391,7 +388,113 @@ def test_each_column_is_token_formed_once_per_call(tmp_path, monkeypatch):
         for ref in columns
     ]
     assert len(columns) == 13
-    assert len(calls) == sum(map(len, sampled)) == 581
+    assert sum(map(len, sampled)) == 581
+    assert sorted(calls) == sorted(set().union(*sampled))
+    assert len(calls) == 402
+
+
+def test_kernel_runs_once_per_right_column_on_pending_forms(tmp_path, monkeypatch):
+    # At seed 0, scale 1 the 8 candidates have 5 right columns.  Left rows
+    # with an exact-form partner never reach the kernel, and a form pending
+    # in several candidates of one right column is scored once: 5 calls and
+    # 6,450 cells, against one call and 20,268 cells over full matrices.
+    calls = []
+
+    def spy(left_forms, right_forms):
+        calls.append((len(left_forms), len(right_forms)))
+        return similarity_matrix(left_forms, right_forms)
+
+    monkeypatch.setattr(similarity, "similarity_matrix", spy)
+    monkeypatch.setattr(validation, "similarity_matrix", spy)
+    catalog = generate_catalog(tmp_path, seed=0, scale=1)
+    candidates, _, _ = discover(catalog, MatchConfig())
+    assert len(candidates) == 8
+    assert len({match.right for match in candidates}) == len(calls) == 5
+    assert sum(rows * cols for rows, cols in calls) == 6450
+
+
+def reference_validate_many(matches, catalog, cfg):
+    """validate_many one candidate at a time, each on its full matrix:
+    ``brute_value_score`` and ``tuple_sort_fuzzy_jaccard`` of its samples."""
+    results = []
+    for match in sorted(matches, key=lambda m: (m.left, m.right)):
+        left, right = (
+            sample_distinct(catalog.column(ref).distinct_values, cfg.sample_cap, f"{cfg.seed}:{ref}")
+            for ref in (match.left, match.right)
+        )
+        if not left or not right:
+            continue
+        score = brute_value_score(left, right)
+        if score < cfg.row_threshold:
+            continue
+        s = tuple_sort_fuzzy_jaccard(left, right, cfg.row_threshold)
+        results.append(ValidationResult(match, score, s, len(left), len(right)))
+    return results
+
+
+# Cells of in-memory columns: raw values that share a sorted-token form
+# ("b a", "A, B", "a b"), values whose form is empty ("--", "-"), near
+# misses and the empty cell, which sampling drops.
+shared_form_cells = st.sampled_from(
+    ["a b", "b a", "A, B", "a", "b", "ab", "a c", "c a b", "--", "-", "",
+     "jon smith", "Smith, Jon", "jon smyth", "x"]
+)
+
+
+@st.composite
+def shared_right_column_cases(draw):
+    """A catalog of one-column tables, every left column matched against
+    every right column (so several left columns share each right column),
+    the matches in a drawn order, and a config."""
+    column = st.lists(shared_form_cells, max_size=9)
+    lefts = draw(st.lists(column, min_size=1, max_size=4))
+    rights = draw(st.lists(column, min_size=1, max_size=2))
+    catalog = Catalog(
+        databases=tuple(
+            Database(db, tuple(make_table(f"T{i}", {"v": cells}) for i, cells in enumerate(cols)))
+            for db, cols in (("a", lefts), ("b", rights))
+        )
+    )
+    matches = [
+        _match_for(catalog, ColumnRef("a", f"T{i}", "v"), ColumnRef("b", f"T{j}", "v"))
+        for i in range(len(lefts))
+        for j in range(len(rights))
+    ]
+    config = MatchConfig(
+        row_threshold=draw(st.sampled_from([0.0, 0.5, 0.6, 1.0])),
+        sample_cap=draw(st.integers(1, 8)),
+        seed=draw(st.integers(0, 3)),
+    )
+    return catalog, draw(st.permutations(matches)), config
+
+
+def one_right_column_case(left_columns, right_cells, **config):
+    catalog = Catalog(
+        databases=(
+            Database("a", tuple(make_table(f"T{i}", {"v": c}) for i, c in enumerate(left_columns))),
+            Database("b", (make_table("T0", {"v": right_cells}),)),
+        )
+    )
+    matches = [
+        _match_for(catalog, ColumnRef("a", f"T{i}", "v"), ColumnRef("b", "T0", "v"))
+        for i in range(len(left_columns))
+    ]
+    return catalog, matches, MatchConfig(**config)
+
+
+@given(shared_right_column_cases())
+# "b a" and "A, B" share the form "a b", which has one exact partner on the
+# right: the second left row finds it taken and goes to the greedy.
+@example(one_right_column_case([["b a", "A, B", "a c"], ["A, B", "x"]], ["a b", "c a", "x"]))
+# Forms that are empty meet at 1.0, like any equal forms.
+@example(one_right_column_case([["--", "-", "a b"]], ["-", "b a"], row_threshold=1.0))
+@example(one_right_column_case([["b a", "x"]], ["a b", "x"], row_threshold=0.0))
+# A cap that binds leaves some exact partners out of the right sample.
+@example(one_right_column_case([["a b", "a", "x", "c a b"]], ["b a", "a", "x", "ab"], sample_cap=2))
+@settings(max_examples=300, deadline=None)
+def test_validate_many_equals_full_matrix_reference(case):
+    catalog, matches, cfg = case
+    assert validate_many(matches, catalog, cfg) == reference_validate_many(matches, catalog, cfg)
 
 
 @pytest.mark.parametrize("scale", [1, 4])
