@@ -121,12 +121,13 @@ def indel_ratio(a: str, b: str) -> float:
     return 2.0 * lcs_length(a, b) / total
 
 
-# Packed uint64 words (one or more left patterns each) advanced together by
-# ``similarity_matrix``.  A block of right strings holds ``_LANE_BLOCK //
-# words`` of them, so each temporary of the recurrence has at most this many
-# words, whatever the size of the output.  Above this many words, each
-# temporary is one row of ``words`` words.  The ratios read out of a block
-# take one float per pattern in it.
+# The unsigned lane types of ``similarity_matrix``, narrowest first; a call
+# gives each left pattern a lane of the narrowest that holds its longest
+# left string.  A block holds as many right strings as fill ``_LANE_BLOCK``
+# uint64 words with lanes, so each temporary of the recurrence takes at most
+# ``8 * _LANE_BLOCK`` bytes, whatever the size of the output; with more
+# lanes than that, a block is one right string.
+_LANE_TYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 _LANE_BLOCK = 4096
 _LANE_BITS = 64
 
@@ -136,22 +137,20 @@ def similarity_matrix(left_forms: Sequence[str], right_forms: Sequence[str]) -> 
 
     It runs the bit-parallel LCS recurrence of :func:`lcs_length` with the
     left strings as bit patterns (Hyyrö, "Bit-parallel LCS-length
-    computation revisited", 2004), several patterns to a uint64 word
-    (Hyyrö, Fredriksson & Navarro, "Increased bit-parallelism for
-    approximate and multiple string matching", ACM JEA 2005).  A word holds
-    ``per_word`` fields of ``64 // per_word`` bits, as many as fit the
-    longest left string plus one bit.  Each pattern sits in the low bits of
-    its field.  The top bit of each field is a guard: it is 0 before every
-    addition, takes any carry out of the field, and is cleared after each
-    step, so no carry reaches the next pattern.  With one pattern to a word
-    (a left string of 32 or more characters) there is no guard: a carry
-    runs into bits above the pattern, which stay set, or off the word.
+    computation revisited", 2004), one pattern to a numpy lane: a uint8,
+    uint16, uint32 or uint64, the narrowest that holds the longest left
+    string.  Each pattern sits in the low bits of its lane and every lane
+    starts all ones.  A carry out of the pattern runs into the bits above
+    it, which the step's ``|`` sets again, or off the lane, which
+    fixed-width arithmetic drops; so the inverted lane's set bits count the
+    LCS.
 
-    Each step advances a word by one character of one right string.  Right
-    strings run longest first, so the words still running at step ``t``
-    are a prefix of the block, and no step is spent on padding.  Characters
-    no left string has get index 0, whose mask is empty.  Left strings over
-    64 characters take their row from :func:`indel_ratio` instead.
+    Each step advances every lane by one character of one right string.
+    Right strings run longest first in blocks, and a block runs as many
+    steps as its longest string.  Characters no left string has, and the
+    steps past a shorter string's end, get code 0, whose mask is empty and
+    leaves a lane as it is.  Left strings over 64 characters take their row
+    from :func:`indel_ratio` instead.
     """
     out = np.empty((len(left_forms), len(right_forms)))
     short = []
@@ -165,23 +164,16 @@ def similarity_matrix(left_forms: Sequence[str], right_forms: Sequence[str]) -> 
 
     lefts = [left_forms[i] for i in short]
     left_len = np.array([len(s) for s in lefts])
-    per_word = max(1, _LANE_BITS // (max(map(len, lefts)) + 1))
-    width = _LANE_BITS // per_word
-    guard = 0 if per_word == 1 else 1 << (width - 1)
-    field = np.uint64((1 << width) - 1 - guard)
-    live = np.uint64(sum(int(field) << (f * width) for f in range(per_word)))
+    lane = next(t for t in _LANE_TYPES if np.iinfo(t).bits >= left_len.max())
 
     # Code k >= 1 is the character alphabet[k - 1]; code 0 is every
     # character no left string has.  The last entry, past every code point,
     # is no character.
     alphabet = np.array(sorted(map(ord, set("".join(lefts)))) + [0x110000], dtype=np.uint32)
-    words = -(-len(lefts) // per_word)
-    mask_table = np.zeros((len(alphabet), words), dtype=np.uint64)
+    mask_table = np.zeros((len(alphabet), len(lefts)), dtype=lane)
     which, pos = _spread(left_len)
-    word, slot = np.divmod(which, per_word)
-    bits = np.left_shift(np.uint64(1), (slot * width + pos).astype(np.uint64))
     left_codes = np.searchsorted(alphabet, _code_points(lefts)) + 1
-    np.bitwise_or.at(mask_table, (left_codes, word), bits)
+    np.bitwise_or.at(mask_table, (left_codes, which), np.left_shift(lane(1), pos.astype(lane)))
 
     # Right strings longest first; codes[t, j] is the code of character t.
     order = np.argsort([-len(s) for s in right_forms], kind="stable")
@@ -193,39 +185,21 @@ def similarity_matrix(left_forms: Sequence[str], right_forms: Sequence[str]) -> 
     codes[pos, col] = np.where(alphabet[found] == points, found + 1, 0)
     rows = np.array(short)
 
-    right_block = max(1, _LANE_BLOCK // words)
-    v = np.empty((right_block, words), dtype=np.uint64)
-    u = np.empty_like(v)
-    w = np.empty_like(v)
-    lcs = np.empty((right_block, words, per_word), dtype=np.uint8)
+    right_block = max(1, _LANE_BLOCK * _LANE_BITS // (np.iinfo(lane).bits * len(lefts)))
     for r0 in range(0, len(order), right_block):
         r1 = min(r0 + right_block, len(order))
-        lens = right_len[r0:r1]
-        # running[t]: how many of these right strings have a character t.
-        running = np.searchsorted(-lens, -np.arange(lens[0]), side="left")
-        vk, uk, wk = v[: r1 - r0], u[: r1 - r0], w[: r1 - r0]
-        vk.fill(live)
-        for t, k in enumerate(running.tolist()):
-            if k < len(vk):
-                vk, uk, wk = vk[:k], uk[:k], wk[:k]
-            # Every code is in range; "clip" lets take write into uk unbuffered.
-            mask_table.take(codes[t, r0 : r0 + k], axis=0, out=uk, mode="clip")
-            uk &= vk
-            np.subtract(vk, uk, out=wk)
-            vk += uk
-            vk |= wk
-            if guard:
-                vk &= live
-        # Inverted, the bits of each field below its guard count its LCS.
-        vb, ub = v[: r1 - r0], u[: r1 - r0]
-        np.invert(vb, out=vb)
-        for f in range(per_word):
-            np.right_shift(vb, np.uint64(f * width), out=ub)
-            ub &= field
-            np.bitwise_count(ub, out=lcs[: r1 - r0, :, f])
-        # Field f of word j holds left string j * per_word + f.
-        counts = lcs[: r1 - r0].reshape(r1 - r0, -1)[:, : len(lefts)].T
-        total = left_len[:, None] + lens
+        v = np.full((r1 - r0, len(lefts)), np.iinfo(lane).max, dtype=lane)
+        u = np.empty_like(v)
+        w = np.empty_like(v)
+        for t in range(right_len[r0]):
+            # Every code is in range; "clip" lets take write into u unbuffered.
+            mask_table.take(codes[t, r0:r1], axis=0, out=u, mode="clip")
+            u &= v
+            np.subtract(v, u, out=w)
+            v += u
+            v |= w
+        counts = np.bitwise_count(np.invert(v, out=v)).T
+        total = left_len[:, None] + right_len[r0:r1]
         empty = total == 0
         ratio = np.multiply(counts, 2.0)
         ratio /= np.maximum(total, 1, out=total)

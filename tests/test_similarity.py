@@ -8,6 +8,7 @@ independently of the bit-parallel implementation under test.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from difflib import SequenceMatcher
 
 import numpy as np
@@ -193,9 +194,10 @@ class TestSimilarityMatrix:
         assert_matches_dp(["aaaa", "abab", "a" * 64], ["a", "aa", "baaab", "a" * 70, "bbbb"])
 
     def test_more_lanes_than_one_block(self):
+        # Nine-character lefts take uint16 lanes, four to a uint64 word.
         lefts = [f"{i:03d} smith" for i in range(70)]
-        rights = [f"smith {i:02d}" for i in range(70)]
-        assert len(lefts) * len(rights) > similarity._LANE_BLOCK
+        rights = [f"smith {i:02d}" for i in range(250)]
+        assert len(lefts) * len(rights) > 4 * similarity._LANE_BLOCK
         assert_matches_dp(lefts, rights)
 
     def test_empty_lists(self):
@@ -211,50 +213,86 @@ class TestSimilarityMatrix:
     def test_matches_dp(self, lefts, rights):
         assert_matches_dp(lefts, rights)
 
-    @pytest.mark.parametrize("longest", range(22))
+    @pytest.mark.parametrize("longest", range(65))
     def test_every_field_width(self, longest):
         # Left strings of every length up to ``longest`` share one call, so
-        # the packing puts patterns of several lengths side by side in each
-        # word.  Longest lengths 0-9, 11 and 15 fill a field up to its guard.
-        lefts = [("abcab cabba" * 2)[:n] for n in range(longest + 1)]
-        lefts += [("ba cab" * 4)[:n] for n in range(longest, -1, -1)]
-        rights = ["", "a", "abc", "cab abba", "abcab cabba abcab", "ba cab" * 4, "c" * 25]
+        # patterns of several lengths run side by side in lanes of the type
+        # the longest picks; ``longest`` crosses each 8/9, 16/17 and 32/33
+        # boundary between lane types and ends on a full 64-bit lane.
+        lefts = [("abcab cabba" * 6)[:n] for n in range(longest + 1)]
+        lefts += [("ba cab" * 11)[:n] for n in range(longest, -1, -1)]
+        rights = ["", "a", "abc", "cab abba", "abcab cabba abcab", "ba cab" * 4, "c" * 25, "ba cab" * 12]
         assert_matches_dp(lefts, rights)
 
-    def test_carries_cross_every_field(self):
+    def test_carries_leave_every_lane(self):
         # "a" * k against "a" * 70 carries out of the top of its pattern on
-        # every step past the k-th; the guard must stop it at the field.
+        # every step past the k-th.  The carry must not disturb the pattern:
+        # it runs into the set bits above it or, for k of 8, 16, 32 or 64,
+        # off the top of a full lane.
         lefts = ["a" * k for k in range(22)] + ["ab" * 5, "ba" * 5, "a"]
         rights = ["a" * 70, "a" * 21, "a" * 22, "ab" * 35, "b" + "a" * 40, ""]
         assert_matches_dp(lefts, rights)
+        for k in (8, 16, 32, 64):
+            assert_matches_dp(["a" * k], ["a" * 70])
+            assert_matches_dp(["a" * k, "ab" * (k // 2)], ["a" * 70, "ba" * 35])
 
     def test_right_characters_no_left_has(self):
         lefts = ["abc", "cab", "", "aaa", "c b a"]
         rights = ["xyz", "axbycz", "", "q" * 30, "zzzabc", "c", "abc" + "é" * 9, "ba\x00c"]
         assert_matches_dp(lefts, rights)
 
-    def test_more_packed_words_than_one_block(self):
+    def test_left_characters_outside_ascii(self):
+        # Two-byte, astral and NUL characters as patterns, in every lane type.
+        for stem in ("é a\x00", "\U0001F600b é", "\x00\x00é\U0001F600"):
+            lefts = [(stem * 22)[:n] for n in (1, 3, 8, 9, 16, 17, 32, 33, 64)] + ["", "a"]
+            rights = ["", stem, stem[::-1] * 5, "é" * 9, "\x00" * 3 + "a", "\U0001F600" * 20, "abc"]
+            assert_matches_dp(lefts, rights)
+            assert_matches_dp(rights, lefts)
+
+    def test_more_lanes_than_one_block_with_short_rights(self):
         lefts = [f"{i:02d} smith and jones xyz"[:21] for i in range(12)]
         rights = [f"{j:03d} sm"[: 1 + j % 6] for j in range(700)]
-        per_word = max(1, 64 // (max(map(len, lefts)) + 1))
-        assert math.ceil(len(lefts) / per_word) * len(rights) > similarity._LANE_BLOCK
+        # 21-character lefts take uint32 lanes, two to a uint64 word.
+        assert len(lefts) * len(rights) > 2 * similarity._LANE_BLOCK
         assert_matches_dp(lefts, rights)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7])
     def test_more_packed_words_than_the_block_size(self, monkeypatch, block):
-        # Above _LANE_BLOCK words, each block of right strings is one string.
+        # With more uint64 lanes than _LANE_BLOCK, each block of right
+        # strings is one string.
         monkeypatch.setattr(similarity, "_LANE_BLOCK", block)
         lefts = [("abcab cabba" * 2)[: n % 22] for n in range(40)] + ["a" * 40, "b" * 64]
         rights = ["", "a", "cab abba", "abcab cabba abcab", "c" * 25, "a" * 70]
         assert_matches_dp(lefts, rights)
         assert_matches_dp(lefts[:30], rights)
 
+    @pytest.mark.parametrize("block", range(1, 8))
+    def test_padded_steps_at_block_splits(self, monkeypatch, block):
+        # Right strings of every length 0-40 split into blocks that each run
+        # as many steps as their longest string, so the shorter strings of a
+        # block take padded steps.  One uint64 lane makes blocks of
+        # ``block`` strings, one uint8 lane blocks of 8 * ``block``.
+        monkeypatch.setattr(similarity, "_LANE_BLOCK", block)
+        rights = [("cab abba " * 5)[:n] for n in range(41)]
+        assert_matches_dp(["ab cab " * 5], rights)
+        assert_matches_dp(["abba"], rights)
+
+    def test_one_pair_call_stays_small(self):
+        # A call's temporaries are sized to its blocks, not to _LANE_BLOCK.
+        tracemalloc.start()
+        try:
+            similarity_matrix(["jon smith"], ["smith jon x"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 1024
+
     @given(
         st.lists(st.text(alphabet="abc ", max_size=21), max_size=40),
         st.lists(st.text(alphabet="abcd ", max_size=24), max_size=6),
     )
     @settings(max_examples=60)
-    def test_packed_matches_dp(self, lefts, rights):
+    def test_many_lefts_matches_dp(self, lefts, rights):
         assert_matches_dp(lefts, rights)
 
 
