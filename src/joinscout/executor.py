@@ -7,9 +7,11 @@ similarity, keep matches at or above the row threshold, and append a
 ``_fuzzy_score_<hop>`` column recording the match strength.
 
 A fuzzy hop compares sorted-token forms and runs exact first (Wang, Li &
-Feng, "Fast-Join", ICDE 2011).  A left value whose form some right value
-has takes, with score 1.0, the first row of the smallest such right value.
-The distinct forms of the other left values go through
+Feng, "Fast-Join", ICDE 2011).  A value whose form is empty, one without
+an ASCII letter or digit such as ``"--"``, matches nothing on either side.
+A left value whose form some right value has takes, with score 1.0, the
+first row of the smallest such right value.  The distinct forms of the
+other left values go through
 :func:`~joinscout.similarity.similarity_matrix` once, against the distinct
 right forms in the order of their smallest values, and each takes its
 row's first maximum.  The bytes are those of scoring every pair of values:
@@ -153,10 +155,12 @@ def _best_rows(
     left_values: list[str], first_row_of: dict[str, tuple[str, ...]]
 ) -> Iterator[tuple[str, tuple[str, ...], float]]:
     """Each of ``left_values`` with its best right row and score, given the
-    first row of each right value.  Ties go to the smallest right value."""
+    first row of each right value.  Ties go to the smallest right value.
+    Values whose form is empty are left out on both sides."""
     row_of: dict[str, tuple[str, ...]] = {}
     for value in sorted(first_row_of):
         row_of.setdefault(sorted_token_form(value), first_row_of[value])
+    row_of.pop("", None)
     rest: dict[str, list[str]] = {}
     for value in left_values:
         form = sorted_token_form(value)
@@ -165,6 +169,7 @@ def _best_rows(
             rest.setdefault(form, []).append(value)
         else:
             yield value, rrow, 1.0
+    rest.pop("", None)
     if rest and row_of:
         sims = similarity_matrix(list(rest), list(row_of))
         right_rows = list(row_of.values())

@@ -120,7 +120,7 @@ def vary_label(value: str, suffix_pool: Sequence[str], rng: random.Random) -> st
 # ---------------------------------------------------------------------------
 # catalog generation
 
-def _distinct_ids(rng: random.Random, count: int, make: "callable") -> list[str]:
+def _distinct_ids(rng: random.Random, count: int, make: Callable[[random.Random], str]) -> list[str]:
     seen: set[str] = set()
     out: list[str] = []
     while len(out) < count:

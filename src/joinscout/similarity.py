@@ -91,8 +91,8 @@ def lcs_length(a: str, b: str) -> int:
     Bit-parallel formulation: the shorter string is encoded as per-character
     bitmasks and a running row of the DP table is kept in a single integer,
     which is fast for one pair.  :func:`similarity_matrix` runs the same
-    recurrence over many pairs at once and falls back to this for left
-    strings over 64 characters; tests use it as the reference.
+    recurrence over many pairs at once, in words of at most 64 bits; tests
+    use this as the per-pair reference.
     """
     if not a or not b:
         return 0
@@ -121,12 +121,14 @@ def indel_ratio(a: str, b: str) -> float:
     return 2.0 * lcs_length(a, b) / total
 
 
-# The unsigned lane types of ``similarity_matrix``, narrowest first; a call
-# gives each left pattern a lane of the narrowest that holds its longest
-# left string.  A block holds as many right strings as fill ``_LANE_BLOCK``
-# uint64 words with lanes, so each temporary of the recurrence takes at most
-# ``8 * _LANE_BLOCK`` bytes, whatever the size of the output; with more
-# lanes than that, a block is one right string.
+# The unsigned word types of ``similarity_matrix``, narrowest first.  A call
+# gives each left pattern a lane of ``W`` words: one word of the narrowest
+# type that holds the longest left string, or, for a string over 64
+# characters, ``ceil(longest / 64)`` uint64 words.  A block holds as many
+# right strings as fill ``_LANE_BLOCK`` uint64 words with lanes, so each
+# temporary of the recurrence takes at most ``8 * _LANE_BLOCK`` bytes,
+# whatever the size of the output; with more words than that, a block is
+# one right string.
 _LANE_TYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 _LANE_BLOCK = 4096
 _LANE_BITS = 64
@@ -137,43 +139,41 @@ def similarity_matrix(left_forms: Sequence[str], right_forms: Sequence[str]) -> 
 
     It runs the bit-parallel LCS recurrence of :func:`lcs_length` with the
     left strings as bit patterns (Hyyrö, "Bit-parallel LCS-length
-    computation revisited", 2004), one pattern to a numpy lane: a uint8,
-    uint16, uint32 or uint64, the narrowest that holds the longest left
-    string.  Each pattern sits in the low bits of its lane and every lane
-    starts all ones.  A carry out of the pattern runs into the bits above
-    it, which the step's ``|`` sets again, or off the lane, which
-    fixed-width arithmetic drops; so the inverted lane's set bits count the
-    LCS.
+    computation revisited", 2004), one pattern to a numpy lane of ``W``
+    words: one uint8, uint16, uint32 or uint64, the narrowest that holds
+    the longest left string, or as many uint64 words as a string over 64
+    characters needs.  Each pattern sits in the low bits of its lane, from
+    word 0 up, and every lane starts all ones.  A step's ``v - u`` needs no
+    borrow between words, since ``u = v & mask`` has only bits of ``v``;
+    its ``v + u`` carries out of each word into the next.  A carry out of
+    the pattern runs into the bits above it, which the step's ``|`` sets
+    again, or off the lane, which fixed-width arithmetic drops; so the set
+    bits of the inverted words, summed over the lane, count the LCS.
 
     Each step advances every lane by one character of one right string.
     Right strings run longest first in blocks, and a block runs as many
     steps as its longest string.  Characters no left string has, and the
     steps past a shorter string's end, get code 0, whose mask is empty and
-    leaves a lane as it is.  Left strings over 64 characters take their row
-    from :func:`indel_ratio` instead.
+    leaves a lane as it is.
     """
     out = np.empty((len(left_forms), len(right_forms)))
-    short = []
-    for i, left in enumerate(left_forms):
-        if len(left) <= _LANE_BITS:
-            short.append(i)
-        else:
-            out[i] = [indel_ratio(left, right) for right in right_forms]
-    if not short or not right_forms:
+    if not left_forms or not right_forms:
         return out
-
-    lefts = [left_forms[i] for i in short]
-    left_len = np.array([len(s) for s in lefts])
-    lane = next(t for t in _LANE_TYPES if np.iinfo(t).bits >= left_len.max())
+    left_len = np.array([len(s) for s in left_forms])
+    longest = int(left_len.max())
+    lane = next(t for t in _LANE_TYPES if np.iinfo(t).bits >= min(longest, _LANE_BITS))
+    bits = np.iinfo(lane).bits
+    words = max(1, -(-longest // bits))
 
     # Code k >= 1 is the character alphabet[k - 1]; code 0 is every
     # character no left string has.  The last entry, past every code point,
     # is no character.
-    alphabet = np.array(sorted(map(ord, set("".join(lefts)))) + [0x110000], dtype=np.uint32)
-    mask_table = np.zeros((len(alphabet), len(lefts)), dtype=lane)
+    alphabet = np.array(sorted(map(ord, set("".join(left_forms)))) + [0x110000], dtype=np.uint32)
+    mask_table = np.zeros((len(alphabet), len(left_forms), words), dtype=lane)
     which, pos = _spread(left_len)
-    left_codes = np.searchsorted(alphabet, _code_points(lefts)) + 1
-    np.bitwise_or.at(mask_table, (left_codes, which), np.left_shift(lane(1), pos.astype(lane)))
+    word, bit = np.divmod(pos, bits)
+    left_codes = np.searchsorted(alphabet, _code_points(left_forms)) + 1
+    np.bitwise_or.at(mask_table, (left_codes, which, word), np.left_shift(lane(1), bit.astype(lane)))
 
     # Right strings longest first; codes[t, j] is the code of character t.
     order = np.argsort([-len(s) for s in right_forms], kind="stable")
@@ -183,12 +183,12 @@ def similarity_matrix(left_forms: Sequence[str], right_forms: Sequence[str]) -> 
     col, pos = _spread(right_len)
     codes = np.zeros((right_len[0], len(order)), dtype=np.intp)
     codes[pos, col] = np.where(alphabet[found] == points, found + 1, 0)
-    rows = np.array(short)
 
-    right_block = max(1, _LANE_BLOCK * _LANE_BITS // (np.iinfo(lane).bits * len(lefts)))
+    right_block = max(1, _LANE_BLOCK * _LANE_BITS // (bits * words * len(left_forms)))
+    ripple = range(1, words)
     for r0 in range(0, len(order), right_block):
         r1 = min(r0 + right_block, len(order))
-        v = np.full((r1 - r0, len(lefts)), np.iinfo(lane).max, dtype=lane)
+        v = np.full((r1 - r0, len(left_forms), words), np.iinfo(lane).max, dtype=lane)
         u = np.empty_like(v)
         w = np.empty_like(v)
         for t in range(right_len[r0]):
@@ -197,14 +197,23 @@ def similarity_matrix(left_forms: Sequence[str], right_forms: Sequence[str]) -> 
             u &= v
             np.subtract(v, u, out=w)
             v += u
+            # Word k - 1 carried out if its sum wrapped round below its
+            # addend, or if it was all ones and the carry into it wrapped
+            # the sum round to the addend itself.
+            for k in ripple:
+                below, addend = v[..., k - 1], u[..., k - 1]
+                wrapped = below < addend
+                if k > 1:
+                    wrapped |= carry & (below == addend)
+                v[..., k] += wrapped
+                carry = wrapped
             v |= w
-        counts = np.bitwise_count(np.invert(v, out=v)).T
-        total = left_len[:, None] + right_len[r0:r1]
-        empty = total == 0
-        ratio = np.multiply(counts, 2.0)
-        ratio /= np.maximum(total, 1, out=total)
-        ratio[empty] = 1.0
-        out[np.ix_(rows, order[r0:r1])] = ratio
+        ratio = np.bitwise_count(np.invert(v, out=v)).sum(axis=-1, dtype=np.float64)
+        total = right_len[r0:r1, None] + left_len
+        ratio *= 2.0
+        ratio /= np.maximum(total, 1)
+        ratio[total == 0] = 1.0
+        out[:, order[r0:r1]] = ratio.T
     return out
 
 

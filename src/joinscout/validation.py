@@ -12,12 +12,15 @@ survive a look at the data:
   join graph consumes.
 
 Columns are compared on distinct values only; large columns are first cut
-down to a seeded deterministic sample of ``sample_cap`` values.
+down to a seeded deterministic sample of ``sample_cap`` values.  A value
+whose sorted-token form is empty, one without an ASCII letter or digit
+such as ``"--"``, is no value: it matches nothing, as an empty cell does.
 ``validate_many`` is the one validation loop.  Per call it samples each
-column once and puts each distinct sampled value in sorted-token form
-once.  It groups the candidates by right column and matches exact forms
-first: a left value whose form equals a free right form scores 1.0 and is
-matched to it, since the kernel scores equal forms, and only those, 1.0.
+column once, puts each distinct sampled value in sorted-token form once
+and drops the values whose form is empty.  It groups the candidates by
+right column and matches exact forms first: a left value whose form
+equals a free right form scores 1.0 and is matched to it, since the
+kernel scores equal forms, and only those, 1.0.
 ``similarity_matrix`` then runs once per right column, on the distinct
 left forms of its candidates that are left over × the right forms.  Both
 scores come out as they would from each candidate's full matrix.
@@ -55,11 +58,11 @@ class ValidationResult:
 def value_score(left_values: Sequence[str], right_values: Sequence[str]) -> float:
     """Mean over left values of the best token-sort similarity on the right.
 
-    Empty strings are dropped first; raises :class:`ValueError` if either
-    side has nothing left.
+    Values whose sorted-token form is empty are dropped first; raises
+    :class:`ValueError` if either side has nothing left.
     """
-    lefts = [sorted_token_form(v) for v in left_values if v]
-    rights = [sorted_token_form(v) for v in right_values if v]
+    lefts = _nonempty_forms(left_values)
+    rights = _nonempty_forms(right_values)
     if not lefts or not rights:
         raise ValueError("value_score needs non-empty values on both sides")
     return _value_score(similarity_matrix(lefts, rights))
@@ -76,15 +79,21 @@ def fuzzy_jaccard(
     and greedily locked into a one-to-one matching; the matched count ``m``
     then plays the intersection in ``m / (|L| + |R| - m)``.  Ties are taken
     in the order of the sorted value pair, which makes the result symmetric
-    in its arguments.  Raises :class:`ValueError` if either side has no
-    non-empty value.
+    in its arguments.  Distinct values whose sorted-token form is empty are
+    dropped first; raises :class:`ValueError` if either side has nothing
+    left.
     """
-    lefts = [sorted_token_form(v) for v in sorted({v for v in left_values if v})]
-    rights = [sorted_token_form(v) for v in sorted({v for v in right_values if v})]
+    lefts = _nonempty_forms(sorted(set(left_values)))
+    rights = _nonempty_forms(sorted(set(right_values)))
     if not lefts or not rights:
         raise ValueError("fuzzy_jaccard needs non-empty values on both sides")
     matched = _greedy_matches(similarity_matrix(lefts, rights), row_threshold)
     return matched / (len(lefts) + len(rights) - matched)
+
+
+def _nonempty_forms(values: Iterable[str]) -> list[str]:
+    """The sorted-token forms of ``values`` that are not empty, in order."""
+    return [form for form in map(sorted_token_form, values) if form]
 
 
 def _value_score(sims: np.ndarray) -> float:
@@ -144,10 +153,12 @@ def validate_many(
 ) -> list[ValidationResult]:
     """Check candidate column pairs against the actual row values.
 
-    A candidate is rejected when either side has no usable values, or when
-    its value score falls below ``row_threshold``.  Each column is sampled
-    once per call, however many candidates it is in, and each distinct
-    sampled value is token-formed once.  Candidates are grouped by right
+    A candidate is rejected when either side has no value with a non-empty
+    sorted-token form, or when its value score falls below
+    ``row_threshold``.  Each column is sampled once per call, however many
+    candidates it is in, and each distinct sampled value is token-formed
+    once.  A value whose form is empty is dropped from a sample after it
+    is drawn, so it does not change which values are drawn.  Candidates are grouped by right
     column, and the kernel runs once per group on the left forms without
     an exact partner.  Results are in sorted pair order, so the output
     does not depend on the input order.
@@ -170,7 +181,7 @@ def validate_many(
         for value in sample:
             if value not in form_of:
                 form_of[value] = sorted_token_form(value)
-        forms[ref] = [form_of[value] for value in sample]
+        forms[ref] = [form_of[value] for value in sample if form_of[value]]
 
     by_right: dict[ColumnRef, list[int]] = {}
     for k, match in enumerate(ordered):

@@ -24,7 +24,7 @@ from joinscout.executor import ResultTable, execute_path, write_csv
 from joinscout.fuzzgen import generate_catalog
 from joinscout.graph import EdgeKind, JoinEdge, JoinPath, discover, edge_weight, shortest_path
 from joinscout.matching import MatchConfig
-from joinscout.similarity import token_sort_ratio
+from joinscout.similarity import sorted_token_form, token_sort_ratio
 
 from conftest import make_table
 
@@ -170,6 +170,16 @@ class TestFuzzyHop:
         )
         result = execute_path(path, cat)
         assert result.rows == [("real", "real", "1.000")]
+
+    def test_values_whose_form_is_empty_never_match(self):
+        # Cyrillic, Chinese and "--" have no ASCII letter or digit, so
+        # their forms are empty, and a value whose form is empty is no value.
+        left = make_table("L", {"name": ["Иван Петров", "--", "b a"]})
+        right = make_table("R", {"label": ["张伟", "a b", "-"]})
+        cat, path = one_fuzzy_hop(left, right)
+        result = execute_path(path, cat, MatchConfig(row_threshold=0.0))
+        assert result.rows == [("b a", "a b", "1.000")]
+        assert result == reference_join(path, cat, 0.0)
 
     def test_scores_format_to_three_decimals(self, memory_catalog):
         path = make_path([USERS, PEOPLE], [FUZZY_EDGE])
@@ -422,7 +432,8 @@ def reference_join(path: JoinPath, catalog: Catalog, threshold: float) -> Result
     """Brute-force ``execute_path``: a nested-loop equi-join for each FK hop,
     and ``token_sort_ratio`` of every left row against every right row for
     each fuzzy hop, the best score winning and ties going to the smallest
-    right value, then to its first row."""
+    right value, then to its first row.  A value whose sorted-token form
+    is empty matches nothing."""
     start = catalog.table(path.tables[0])
     columns = [(path.tables[0], n) for n in start.column_names]
     # Each output row, with the raw row of the table joined last.
@@ -448,7 +459,7 @@ def reference_join(path: JoinPath, catalog: Catalog, threshold: float) -> Result
             for out, last in rows:
                 best = None
                 for rrow in right_rows:
-                    if last[lp] and rrow[rp]:
+                    if sorted_token_form(last[lp]) and sorted_token_form(rrow[rp]):
                         key = (-token_sort_ratio(last[lp], rrow[rp]), rrow[rp])
                         if best is None or key < best[0]:
                             best = (key, rrow)
@@ -503,11 +514,13 @@ class TestBruteForceOracle:
 
 
 # Raw values that share a sorted-token form ("b a", "A, B"), whose form is
-# empty ("--"), or whose form is over 64 characters, among random ones.
+# empty ("--"), or whose form takes two or three uint64 words (over 64 or
+# over 128 characters), among random ones.
 _VALUES = st.one_of(
     st.sampled_from(["b a", "A, B", "a b", "--", "", "x" * 70, "b " * 40, "Ab " * 30]),
     st.text(alphabet="abAB ,-", max_size=12),
     st.text(alphabet="ab c", min_size=60, max_size=80),
+    st.text(alphabet="ab c", min_size=130, max_size=200),
 )
 _KEYS = st.sampled_from(["", "1", "2", "3"])
 LEFT, FUZZY_RIGHT, FK_RIGHT = TableRef("d", "L"), TableRef("d", "R"), TableRef("d", "F")
@@ -557,13 +570,15 @@ class TestAgainstReferenceJoin:
         right = make_table("R", {"label": ["a b", "Carol Whyte", "--", "zed q"]})
         cat, path = one_fuzzy_hop(left, right)
         result = execute_path(path, cat)
-        # Right forms come in the order of their smallest raw values.
-        assert kernel_calls == [(["carol white", "zed"], ["", "carol whyte", "a b", "q zed"])]
+        # Right forms come in the order of their smallest raw values; "--"
+        # has the empty form, which is left out on both sides.
+        assert kernel_calls == [(["carol white", "zed"], ["carol whyte", "a b", "q zed"])]
         assert result == reference_join(path, cat, MatchConfig().row_threshold)
 
     def test_exact_forms_take_the_first_row_of_the_smallest_right_value(self, kernel_calls):
-        # Every left form has a right partner, so the kernel never runs.
-        # "B A" sorts before "a b", and "-" before "--".
+        # Every left form but the empty one has a right partner, so the
+        # kernel never runs.  "B A" sorts before "a b"; "--" and "-" have
+        # the empty form and match nothing.
         left = make_table("L", {"name": ["b a", "--", "A, B"]})
         right = make_table(
             "R", {"label": ["x", "a b", "--", "B A", "-", "B A"], "rid": list("123456")}
@@ -573,7 +588,6 @@ class TestAgainstReferenceJoin:
         assert kernel_calls == []
         assert result.rows == [
             ("b a", "B A", "4", "1.000"),
-            ("--", "-", "5", "1.000"),
             ("A, B", "B A", "4", "1.000"),
         ]
         assert result == reference_join(path, cat, MatchConfig().row_threshold)

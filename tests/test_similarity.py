@@ -8,6 +8,7 @@ independently of the bit-parallel implementation under test.
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
 from difflib import SequenceMatcher
 
@@ -179,15 +180,25 @@ def assert_matches_dp(lefts: list[str], rights: list[str]) -> None:
             assert got[i, j] == dp_ratio(a, b), (a, b)
 
 
+def texts_to_200(alphabet: str):
+    """Strings of ``alphabet`` of up to 200 characters, a third or so of
+    them over 64: hypothesis seldom draws a long string of a wide range."""
+    return st.one_of(
+        st.text(alphabet=alphabet, max_size=70),
+        st.text(alphabet=alphabet, min_size=60, max_size=200),
+    )
+
+
 class TestSimilarityMatrix:
     def test_empty_strings_either_side(self):
         assert_matches_dp(["", "abc", ""], ["", "abc", "xbz"])
 
-    @pytest.mark.parametrize("length", [63, 64, 65])
+    @pytest.mark.parametrize("length", [63, 64, 65, 127, 128, 129, 191, 192, 193])
     def test_lane_width_boundary(self, length):
-        # 64 is the widest pattern a lane holds; 65 takes the fallback path.
-        left = ("abcde" * 14)[:length]
-        rights = [left, left[::-1], left[1:], "xyz", "", ("edcba" * 14)[:length]]
+        # A pattern of 64, 128 or 192 characters fills its last uint64 word;
+        # one more character takes another word.
+        left = ("abcde" * 40)[:length]
+        rights = [left, left[::-1], left[1:], "xyz", "", ("edcba" * 40)[:length]]
         assert_matches_dp([left, "ab", left[:-1]], rights)
 
     def test_repeated_characters(self):
@@ -205,11 +216,8 @@ class TestSimilarityMatrix:
         assert similarity_matrix(["a", "b", "c" * 80], []).shape == (3, 0)
         assert similarity_matrix([], []).shape == (0, 0)
 
-    @given(
-        st.lists(st.text(alphabet="abc ", max_size=70), max_size=6),
-        st.lists(st.text(alphabet="abcd ", max_size=70), max_size=6),
-    )
-    @settings(max_examples=150)
+    @given(st.lists(texts_to_200("abc "), max_size=6), st.lists(texts_to_200("abcd "), max_size=6))
+    @settings(max_examples=150, deadline=None)
     def test_matches_dp(self, lefts, rights):
         assert_matches_dp(lefts, rights)
 
@@ -223,6 +231,34 @@ class TestSimilarityMatrix:
         lefts += [("ba cab" * 11)[:n] for n in range(longest, -1, -1)]
         rights = ["", "a", "abc", "cab abba", "abcab cabba abcab", "ba cab" * 4, "c" * 25, "ba cab" * 12]
         assert_matches_dp(lefts, rights)
+
+    @pytest.mark.parametrize("block", range(1, 8))
+    def test_multi_word_lanes_match_dp(self, monkeypatch, block):
+        # Random strings whose lengths cross each word boundary, with a
+        # two-byte, an astral and a NUL character on both sides, in blocks
+        # of a few lanes.  A carry ripples from word to word, through whole
+        # words of ones, and off the top of the last word.
+        monkeypatch.setattr(similarity, "_LANE_BLOCK", block)
+        rng = random.Random(block)
+        lengths = [0, 1, 63, 64, 65, 66, 127, 128, 129, 191, 192, 193]
+
+        def draw():
+            alphabet = rng.choice(["ab", "ab é\U0001F600\x00", "a"])
+            return "".join(rng.choice(alphabet) for _ in range(rng.choice(lengths)))
+
+        for _ in range(3):
+            assert_matches_dp([draw() for _ in range(4)], [draw() for _ in range(4)])
+
+    def test_never_calls_the_per_pair_functions(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("similarity_matrix called a per-pair function")
+
+        monkeypatch.setattr(similarity, "indel_ratio", fail)
+        monkeypatch.setattr(similarity, "lcs_length", fail)
+        lefts = ["ab " * 50, "a" * 65, "b" * 200, "ab", ""]
+        rights = ["ba " * 40, "a" * 129, "", "b"]
+        assert_matches_dp(lefts, rights)
+        assert_matches_dp(rights, lefts)
 
     def test_carries_leave_every_lane(self):
         # "a" * k against "a" * 70 carries out of the top of its pattern on
@@ -287,6 +323,17 @@ class TestSimilarityMatrix:
             tracemalloc.stop()
         assert peak < 32 * 1024
 
+    def test_one_pair_call_with_a_long_left_stays_small(self):
+        # A 150-character left takes three uint64 words to its lane.
+        left = ("jon smith " * 15)[:150]
+        tracemalloc.start()
+        try:
+            similarity_matrix([left], ["smith jon x"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 1024
+
     @given(
         st.lists(st.text(alphabet="abc ", max_size=21), max_size=40),
         st.lists(st.text(alphabet="abcd ", max_size=24), max_size=6),
@@ -323,11 +370,15 @@ class TestTokenSortRatio:
 
 
 # Raw values that share a sorted-token form ("b a", "A, B"), whose form is
-# empty ("--"), or whose form is over 64 characters, among random ones.
+# empty ("--"), or whose form is over 64 or over 128 characters, among
+# random ones.
 _TOKEN_VALUES = st.one_of(
-    st.sampled_from(["b a", "A, B", "a b", "--", "", "x" * 70, "b " * 40, "Ab " * 30]),
+    st.sampled_from(
+        ["b a", "A, B", "a b", "--", "", "x" * 70, "b " * 40, "Ab " * 30, "Ab " * 50, "ba " * 60]
+    ),
     st.text(alphabet="abAB ,-", max_size=20),
     st.text(alphabet="ab c", min_size=60, max_size=90),
+    st.text(alphabet="ab c", min_size=130, max_size=200),
 )
 
 

@@ -29,9 +29,15 @@ from joinscout.validation import (
     value_score,
 )
 
+def has_form(value):
+    """Whether ``value`` has a non-empty sorted-token form: a value without
+    one is no value to validation and to the fuzzy hop."""
+    return sorted_token_form(value) != ""
+
+
 def brute_value_score(lefts, rights):
-    lefts = [v for v in lefts if v]
-    rights = [v for v in rights if v]
+    lefts = [v for v in lefts if has_form(v)]
+    rights = [v for v in rights if has_form(v)]
     return sum(max(token_sort_ratio(l, r) for r in rights) for l in lefts) / len(lefts)
 
 
@@ -65,6 +71,16 @@ class TestValueScore:
         with pytest.raises(ValueError, match="non-empty values"):
             value_score(["x"], ["", ""])
 
+    def test_values_whose_form_is_empty_match_nothing(self):
+        # Cyrillic, Chinese and "--" have no ASCII letter or digit, so
+        # their forms are empty, and a value whose form is empty is no value.
+        with pytest.raises(ValueError, match="non-empty values"):
+            value_score(["Иван Петров"], ["张伟"])
+        with pytest.raises(ValueError, match="non-empty values"):
+            value_score(["x"], ["--", "张伟"])
+        assert value_score(["Иван Петров", "b a"], ["张伟", "a b"]) == 1.0
+        assert value_score(["--", "abc"], ["-", "xyz"]) == 0.0
+
     @given(
         st.lists(names, min_size=1, max_size=8),
         st.lists(names, min_size=1, max_size=8),
@@ -79,7 +95,11 @@ class TestValueScore:
     )
     @settings(max_examples=100)
     def test_arbitrary_text_matches_brute_force(self, lefts, rights):
-        assert value_score(lefts, rights) == brute_value_score(lefts, rights)
+        if any(map(has_form, lefts)) and any(map(has_form, rights)):
+            assert value_score(lefts, rights) == brute_value_score(lefts, rights)
+        else:
+            with pytest.raises(ValueError, match="non-empty values"):
+                value_score(lefts, rights)
 
     @given(st.lists(names, min_size=1, max_size=8), st.lists(names, min_size=1, max_size=8))
     def test_range(self, lefts, rights):
@@ -111,8 +131,8 @@ def brute_best_matching(lefts, rights, threshold):
 def tuple_sort_fuzzy_jaccard(left_values, right_values, row_threshold):
     """Reference greedy order: sort ``(-sim, a, b, lv, rv)`` tuples, where
     ``(a, b)`` is the value pair in sorted order, and lock pairs in."""
-    lefts = sorted({v for v in left_values if v})
-    rights = sorted({v for v in right_values if v})
+    lefts = sorted(v for v in set(left_values) if has_form(v))
+    rights = sorted(v for v in set(right_values) if has_form(v))
     sims = similarity_matrix(
         [sorted_token_form(v) for v in lefts], [sorted_token_form(v) for v in rights]
     )
@@ -171,6 +191,13 @@ class TestFuzzyJaccard:
             fuzzy_jaccard(set(), {"x"}, 0.5)
         with pytest.raises(ValueError, match="non-empty values"):
             fuzzy_jaccard({""}, {"x"}, 0.5)
+        with pytest.raises(ValueError, match="non-empty values"):
+            fuzzy_jaccard({"Иван Петров"}, {"张伟"}, 0.5)
+
+    def test_values_whose_form_is_empty_are_left_out(self):
+        # "--" and "-" neither match each other nor count in |L| or |R|.
+        assert fuzzy_jaccard({"--", "a"}, {"-", "a"}, 0.5) == 1.0
+        assert fuzzy_jaccard({"--", "a"}, {"a", "b"}, 0.5) == 0.5
 
     @given(
         st.sets(names, min_size=1, max_size=6),
@@ -301,6 +328,17 @@ class TestValidate:
         )
         assert validate_many([match], cat) == []
 
+    def test_rejects_columns_whose_values_have_empty_forms(self):
+        # Every value on each side has the empty form, so neither side has
+        # a value left.
+        russian = make_table("R", {"full_name": ["Иван Петров", "Мария Иванова", "--"]})
+        chinese = make_table("C", {"full_name": ["张伟", "王芳", "李娜", "刘洋"]})
+        cat = Catalog(databases=(Database("ru", (russian,)), Database("zh", (chinese,))))
+        match = _match_for(
+            cat, ColumnRef("ru", "R", "full_name"), ColumnRef("zh", "C", "full_name")
+        )
+        assert validate_many([match], cat, MatchConfig(row_threshold=0.0)) == []
+
     def test_sample_cap_respected(self, memory_catalog):
         cfg = MatchConfig(sample_cap=2)
         match = _match_for(
@@ -415,11 +453,18 @@ def test_kernel_runs_once_per_right_column_on_pending_forms(tmp_path, monkeypatc
 
 def reference_validate_many(matches, catalog, cfg):
     """validate_many one candidate at a time, each on its full matrix:
-    ``brute_value_score`` and ``tuple_sort_fuzzy_jaccard`` of its samples."""
+    ``brute_value_score`` and ``tuple_sort_fuzzy_jaccard`` of its samples,
+    less the values whose form is empty."""
     results = []
     for match in sorted(matches, key=lambda m: (m.left, m.right)):
         left, right = (
-            sample_distinct(catalog.column(ref).distinct_values, cfg.sample_cap, f"{cfg.seed}:{ref}")
+            [
+                v
+                for v in sample_distinct(
+                    catalog.column(ref).distinct_values, cfg.sample_cap, f"{cfg.seed}:{ref}"
+                )
+                if has_form(v)
+            ]
             for ref in (match.left, match.right)
         )
         if not left or not right:
@@ -434,10 +479,13 @@ def reference_validate_many(matches, catalog, cfg):
 
 # Cells of in-memory columns: raw values that share a sorted-token form
 # ("b a", "A, B", "a b"), values whose form is empty ("--", "-"), near
-# misses and the empty cell, which sampling drops.
+# misses, the empty cell, which sampling drops, and values whose forms
+# take one to three uint64 words: about 70 and about 140 characters.
 shared_form_cells = st.sampled_from(
     ["a b", "b a", "A, B", "a", "b", "ab", "a c", "c a b", "--", "-", "",
-     "jon smith", "Smith, Jon", "jon smyth", "x"]
+     "jon smith", "Smith, Jon", "jon smyth", "x",
+     "jon smith " * 7, "Smith, Jon, " * 7, "jon smyth " * 7 + "x",
+     "jon smith " * 14, "jon smyth " * 14, "Jon Smith " * 13 + "a c"]
 )
 
 
@@ -486,8 +534,15 @@ def one_right_column_case(left_columns, right_cells, **config):
 # "b a" and "A, B" share the form "a b", which has one exact partner on the
 # right: the second left row finds it taken and goes to the greedy.
 @example(one_right_column_case([["b a", "A, B", "a c"], ["A, B", "x"]], ["a b", "c a", "x"]))
-# Forms that are empty meet at 1.0, like any equal forms.
+# Values whose form is empty are dropped from the samples: "--" and "-"
+# match nothing, and a column of nothing else is rejected.
 @example(one_right_column_case([["--", "-", "a b"]], ["-", "b a"], row_threshold=1.0))
+@example(one_right_column_case([["--", "-"], ["a b", "-"]], ["-", "b a"], row_threshold=0.0))
+# One left form of three uint64 words, one of two and one of one share
+# the kernel call.
+@example(one_right_column_case(
+    [["jon smith " * 14, "jon smyth " * 7 + "x", "jon smith"]], ["jon smyth " * 14, "a b"]
+))
 @example(one_right_column_case([["b a", "x"]], ["a b", "x"], row_threshold=0.0))
 # A cap that binds leaves some exact partners out of the right sample.
 @example(one_right_column_case([["a b", "a", "x", "c a b"]], ["b a", "a", "x", "ab"], sample_cap=2))
