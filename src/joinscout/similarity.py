@@ -48,7 +48,6 @@ __all__ = [
     "token_overlap",
 ]
 
-_NON_ALNUM_RUN = re.compile(r"[^0-9a-z]+")
 _TOKEN = re.compile(r"[0-9a-z]+")
 _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 
@@ -69,9 +68,10 @@ DEFAULT_SYNONYMS: dict[str, str] = {
 
 
 def normalize(text: str) -> str:
-    """Lowercase, turn each run of characters other than ASCII letters and
-    digits into one space, trim: ``normalize("Müller")`` is ``"m ller"``."""
-    return _NON_ALNUM_RUN.sub(" ", text.lower()).strip()
+    """The tokens of the lowercased text, joined with one space: a token is
+    a run of ASCII letters and digits, so ``normalize("Müller")`` is
+    ``"m ller"``."""
+    return " ".join(_TOKEN.findall(text.lower()))
 
 
 def gestalt_ratio(a: str, b: str) -> float:
@@ -233,9 +233,7 @@ def _spread(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sorted_token_form(text: str) -> str:
     """The tokens of :func:`normalize`, sorted and joined with spaces:
-    ``sorted_token_form("Müller, José")`` is ``"jos ller m"``.  The tokens
-    are the runs of ASCII letters and digits of the lowercased text, found
-    in one regex pass."""
+    ``sorted_token_form("Müller, José")`` is ``"jos ller m"``."""
     return " ".join(sorted(_TOKEN.findall(text.lower())))
 
 
@@ -258,7 +256,7 @@ def token_set(text: str) -> frozenset[str]:
     """Tokens of ``text``, splitting on camelCase and on every character
     other than an ASCII letter or digit: ``token_set("patientNäme")`` is
     ``{"patient", "n", "me"}``."""
-    return frozenset(normalize(_CAMEL_BOUNDARY.sub(" ", text)).split())
+    return frozenset(_TOKEN.findall(_CAMEL_BOUNDARY.sub(" ", text).lower()))
 
 
 def token_overlap(a: str, b: str) -> float:
@@ -290,7 +288,7 @@ def _embedding(text: str) -> tuple[np.ndarray, float]:
     Deterministic across processes and platforms.  The vector is shared
     between callers, so it is read-only.
     """
-    tokens = normalize(_CAMEL_BOUNDARY.sub(" ", text)).split()
+    tokens = _TOKEN.findall(_CAMEL_BOUNDARY.sub(" ", text).lower())
     canon = " ".join(DEFAULT_SYNONYMS.get(tok, tok) for tok in tokens)
     vec = np.zeros(_EMBEDDING_DIMENSION, dtype=np.float64)
     if len(canon) >= 3:

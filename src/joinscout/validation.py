@@ -15,18 +15,20 @@ Columns are compared on distinct values only; large columns are first cut
 down to a seeded deterministic sample of ``sample_cap`` values.  A value
 whose sorted-token form is empty, one without an ASCII letter or digit
 such as ``"--"``, is no value: it matches nothing, as an empty cell does.
+One matcher computes both scores.  It matches exact forms first: a left
+value whose form equals a free right form scores 1.0 and is matched to
+it, since the kernel scores equal forms, and only those, 1.0.
+``similarity_matrix`` then runs once, on the distinct left forms that are
+left over × the right forms, and the greedy matching works on the rows of
+that matrix.  Both scores come out as they would from a full matrix.
 ``validate_many`` is the one validation loop.  Per call it samples each
 column once, puts each distinct sampled value in sorted-token form once
 and drops the values whose form is empty.  It groups the candidates by
-right column and matches exact forms first: a left value whose form
-equals a free right form scores 1.0 and is matched to it, since the
-kernel scores equal forms, and only those, 1.0.
-``similarity_matrix`` then runs once per right column, on the distinct
-left forms of its candidates that are left over × the right forms.  Both
-scores come out as they would from each candidate's full matrix.
-``value_score`` and ``fuzzy_jaccard`` score one pair of value lists on
-its full matrix; they are not in ``__all__``, and the benchmark and the
-tests call them to time and check each score on its own.
+right column and runs the matcher once per group, on the left forms of
+all its candidates.  ``value_score`` and ``fuzzy_jaccard`` run the same
+matcher on one pair of value lists; they are not in ``__all__``, and the
+benchmark and the tests call them to time and check each score on its
+own.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ def value_score(left_values: Sequence[str], right_values: Sequence[str]) -> floa
     rights = _nonempty_forms(right_values)
     if not lefts or not rights:
         raise ValueError("value_score needs non-empty values on both sides")
-    return _value_score(similarity_matrix(lefts, rights))
+    _, [(score, _, _)] = _match([lefts], rights)
+    return score
 
 
 def fuzzy_jaccard(
@@ -87,8 +90,8 @@ def fuzzy_jaccard(
     rights = _nonempty_forms(sorted(set(right_values)))
     if not lefts or not rights:
         raise ValueError("fuzzy_jaccard needs non-empty values on both sides")
-    matched = _greedy_matches(similarity_matrix(lefts, rights), row_threshold)
-    return matched / (len(lefts) + len(rights) - matched)
+    sims, [(_, used, rows)] = _match([lefts], rights)
+    return _greedy_jaccard(sims, rows, used, row_threshold)
 
 
 def _nonempty_forms(values: Iterable[str]) -> list[str]:
@@ -96,40 +99,76 @@ def _nonempty_forms(values: Iterable[str]) -> list[str]:
     return [form for form in map(sorted_token_form, values) if form]
 
 
-def _value_score(sims: np.ndarray) -> float:
-    """Mean of the row maxima of ``sims``, summed in row order."""
-    return sum(sims.max(axis=1).tolist()) / len(sims)
+def _match(
+    left_lists: Iterable[list[str]], rights: list[str]
+) -> tuple[np.ndarray, list[tuple[float, list[int], list[int | None]]]]:
+    """Match each list of left forms against ``rights``, exact forms first.
 
-
-def _greedy_matches(
-    sims: np.ndarray, row_threshold: float, used_right: Iterable[int] = ()
-) -> int:
-    """Size of the greedy one-to-one matching over the cells of ``sims``.
-
-    ``sims`` holds token-sort similarities of left rows × right values;
-    the right indices in ``used_right`` are matched already.  Cells at or
-    above the threshold are taken by descending similarity, ties in (left,
-    right) order.  The greedy loop takes a cell unless an earlier cell
-    shares its left or its right value, so the matching depends only on
-    the order of cells that share a value, and on those the (left, right)
-    order and the order of the sorted value pair agree.
+    Each left form, in row order, takes the first right index of an equal
+    form that its list has not taken yet.  Equal forms, and only they,
+    score 1.0, and the greedy takes the 1.0 cells first in (left, right)
+    order: it would take these same cells.  The kernel then runs once, on
+    the distinct forms of the rows of every list that took no index ×
+    ``rights``, and not at all if there are none.  Returns that matrix and,
+    for each left list, its value score (each row's best similarity, 1.0
+    if it took an index, averaged in row order), the right indices it took
+    and, for each row, ``None`` if it took one, else its row of the matrix.
     """
-    # nonzero lists cells in (left, right) order; a stable sort keeps it.
-    rows, cols = (sims >= row_threshold).nonzero()
-    order = np.argsort(-sims[rows, cols], kind="stable")
+    slots: dict[str, list[int]] = {}
+    for j, form in enumerate(rights):
+        slots.setdefault(form, []).append(j)
+    pending: dict[str, int] = {}
+    per_list = []
+    for lefts in left_lists:
+        taken: dict[str, int] = {}
+        used: list[int] = []
+        rows: list[int | None] = []
+        for form in lefts:
+            n = taken[form] = taken.get(form, -1) + 1
+            free = slots.get(form, ())
+            if n < len(free):
+                used.append(free[n])
+                rows.append(None)
+            else:
+                rows.append(pending.setdefault(form, len(pending)))
+        per_list.append((used, rows))
+    sims = similarity_matrix(list(pending), rights) if pending else np.empty((0, len(rights)))
+    best = sims.max(axis=1).tolist()
+    return sims, [
+        (sum(1.0 if p is None else best[p] for p in rows) / len(rows), used, rows)
+        for used, rows in per_list
+    ]
 
-    n_left, n_right = sims.shape
-    used_left = [False] * n_left
-    used = [False] * n_right
+
+def _greedy_jaccard(
+    sims: np.ndarray, rows: list[int | None], used_right: list[int], row_threshold: float
+) -> float:
+    """Fuzzy Jaccard ``s`` of one left list of :func:`_match`, ``m / (|L| + |R| - m)``.
+
+    ``m`` is the size of a greedy one-to-one matching.  The right indices
+    in ``used_right`` are matched already, to the rows that are ``None``;
+    the other rows are rows of ``sims``.  Their cells at or above the
+    threshold are taken by descending similarity, ties in (left, right)
+    order.  The greedy loop takes a cell unless an earlier cell shares its
+    left or its right value, so the matching depends only on the order of
+    cells that share a value, and on those the (left, right) order and the
+    order of the sorted value pair agree.
+    """
+    residual = sims[[p for p in rows if p is not None]]
+    # nonzero lists cells in (left, right) order; a stable sort keeps it.
+    lefts, cols = (residual >= row_threshold).nonzero()
+    order = np.argsort(-residual[lefts, cols], kind="stable")
+
+    used_left = [False] * len(residual)
+    used = [False] * sims.shape[1]
     for j in used_right:
         used[j] = True
-    matched = 0
-    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
-        if used_left[i] or used[j]:
-            continue
-        used_left[i] = used[j] = True
-        matched += 1
-    return matched
+    matched = len(used_right)
+    for i, j in zip(lefts[order].tolist(), cols[order].tolist()):
+        if not (used_left[i] or used[j]):
+            used_left[i] = used[j] = True
+            matched += 1
+    return matched / (len(rows) + len(used) - matched)
 
 
 def sample_distinct(values: Iterable[str], cap: int, seed_key: str) -> list[str]:
@@ -158,10 +197,11 @@ def validate_many(
     ``row_threshold``.  Each column is sampled once per call, however many
     candidates it is in, and each distinct sampled value is token-formed
     once.  A value whose form is empty is dropped from a sample after it
-    is drawn, so it does not change which values are drawn.  Candidates are grouped by right
-    column, and the kernel runs once per group on the left forms without
-    an exact partner.  Results are in sorted pair order, so the output
-    does not depend on the input order.
+    is drawn, so it does not change which values are drawn.  Candidates
+    are grouped by right column, and the matcher runs once per group, so
+    the kernel scores a left form without an exact partner once per right
+    column, however many candidates hold it.  Results are in sorted pair
+    order, so the output does not depend on the input order.
 
     ``jobs`` must be 1; any other value raises :class:`ValueError`.  The
     parameter stays only because the benchmark's ``perfbench/ops.py``
@@ -190,46 +230,9 @@ def validate_many(
     results: dict[int, ValidationResult] = {}
     for right, group in by_right.items():
         rights = forms[right]
-        slots: dict[str, list[int]] = {}
-        for j, form in enumerate(rights):
-            slots.setdefault(form, []).append(j)
-        pending: dict[str, int] = {}
-        exact = [(k, *_exact_phase(forms[ordered[k].left], slots, pending)) for k in group]
-        sims = similarity_matrix(list(pending), rights) if pending else np.empty((0, len(rights)))
-        best = sims.max(axis=1).tolist()
-        for k, used, rows in exact:
-            score = sum(1.0 if p is None else best[p] for p in rows) / len(rows)
-            if score < cfg.row_threshold:
-                continue
-            residual = sims[[p for p in rows if p is not None]]
-            matched = len(used) + _greedy_matches(residual, cfg.row_threshold, used)
-            s = matched / (len(rows) + len(rights) - matched)
-            results[k] = ValidationResult(ordered[k], score, s, len(rows), len(rights))
+        sims, scored = _match((forms[ordered[k].left] for k in group), rights)
+        for k, (score, used, rows) in zip(group, scored):
+            if score >= cfg.row_threshold:
+                s = _greedy_jaccard(sims, rows, used, cfg.row_threshold)
+                results[k] = ValidationResult(ordered[k], score, s, len(rows), len(rights))
     return [results[k] for k in sorted(results)]
-
-
-def _exact_phase(
-    lefts: list[str], slots: dict[str, list[int]], pending: dict[str, int]
-) -> tuple[list[int], list[int | None]]:
-    """Give each left form, in row order, the first free right index of an
-    equal form.
-
-    ``slots`` maps each right form to its indices.  Returns the right
-    indices taken and, for each left row, ``None`` if it took one, else
-    the index of its form in ``pending``, which gains the form if it is
-    new.  Equal forms, and only they, score 1.0, and the greedy takes the
-    1.0 cells first in (left, right) order: it would take these same cells.
-    """
-    taken: dict[str, int] = {}
-    used: list[int] = []
-    rows: list[int | None] = []
-    for form in lefts:
-        free = slots.get(form, ())
-        n = taken.get(form, 0)
-        if n < len(free):
-            taken[form] = n + 1
-            used.append(free[n])
-            rows.append(None)
-        else:
-            rows.append(pending.setdefault(form, len(pending)))
-    return used, rows

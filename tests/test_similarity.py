@@ -50,6 +50,40 @@ def dp_lcs(a: str, b: str) -> int:
     return prev[-1]
 
 
+def texts_to_200(alphabet=st.characters(codec="utf-8")):
+    """Strings of ``alphabet`` of up to 200 characters, a third or so of
+    them over 64: hypothesis seldom draws a long string of a wide range.
+    The default alphabet is that of ``st.text``."""
+    return st.one_of(
+        st.text(alphabet=alphabet, max_size=70),
+        st.text(alphabet=alphabet, min_size=60, max_size=200),
+    )
+
+
+def reference_tokens(text: str) -> list[str]:
+    """Runs of ASCII letters and digits of the lowercased text, found by a
+    character loop rather than a regex."""
+    tokens, run = [], ""
+    for ch in text.lower() + " ":
+        if "a" <= ch <= "z" or "0" <= ch <= "9":
+            run += ch
+        elif run:
+            tokens.append(run)
+            run = ""
+    return tokens
+
+
+def reference_camel_split(text: str) -> str:
+    """``text`` with a space before each ASCII capital that follows an
+    ASCII lowercase letter or digit."""
+    out = []
+    for prev, ch in zip(" " + text, text):
+        if ("a" <= prev <= "z" or "0" <= prev <= "9") and "A" <= ch <= "Z":
+            out.append(" ")
+        out.append(ch)
+    return "".join(out)
+
+
 class TestNormalize:
     def test_lowercases_and_collapses(self):
         assert normalize("Hello,  World!") == "hello world"
@@ -72,9 +106,18 @@ class TestNormalize:
 
     @given(st.text(max_size=30))
     @example("İstanbul straße ΣΑΣ\x00 x😀y")
+    @example("\u212aelvin ﬁx ÅB\tc")
     @settings(max_examples=500)
     def test_sorted_token_form_sorts_the_normalized_tokens(self, text):
-        assert sorted_token_form(text) == " ".join(sorted(normalize(text).split()))
+        tokens = reference_tokens(text)
+        assert normalize(text) == " ".join(tokens)
+        assert sorted_token_form(text) == " ".join(sorted(tokens))
+
+    @given(st.text(alphabet="aZbY09_ -İK\u212a", max_size=30))
+    @example("patientNäme2Id")
+    @settings(max_examples=300)
+    def test_token_set_splits_camel_case_then_normalizes(self, text):
+        assert token_set(text) == set(reference_tokens(reference_camel_split(text)))
 
 
 class TestGestaltRatio:
@@ -98,7 +141,7 @@ class TestGestaltRatio:
         got = gestalt_ratio("doctor_name", "assigned_doctor_name")
         assert got == pytest.approx(2 * 11 / 31, abs=1e-12)
 
-    @given(st.text(max_size=30), st.text(max_size=30))
+    @given(texts_to_200(), texts_to_200())
     def test_range(self, a, b):
         assert 0.0 <= gestalt_ratio(a, b) <= 1.0
 
@@ -139,8 +182,8 @@ class TestLcsLength:
         assert lcs_length(a, b) == want
         assert lcs_length(b, a) == want
 
-    @given(st.text(max_size=40), st.text(max_size=40))
-    @settings(max_examples=300)
+    @given(texts_to_200(), texts_to_200())
+    @settings(max_examples=300, deadline=None)
     def test_matches_dp(self, a, b):
         assert lcs_length(a, b) == dp_lcs(a, b)
 
@@ -159,7 +202,8 @@ class TestIndelRatio:
         got = indel_ratio("Amoxicillin", "Amoksillin")
         assert got == pytest.approx(16 / 21, abs=1e-12)
 
-    @given(st.text(max_size=30), st.text(max_size=30))
+    @given(texts_to_200(), texts_to_200())
+    @settings(deadline=None)
     def test_symmetric_and_in_range(self, a, b):
         r = indel_ratio(a, b)
         assert 0.0 <= r <= 1.0
@@ -178,15 +222,6 @@ def assert_matches_dp(lefts: list[str], rights: list[str]) -> None:
     for i, a in enumerate(lefts):
         for j, b in enumerate(rights):
             assert got[i, j] == dp_ratio(a, b), (a, b)
-
-
-def texts_to_200(alphabet: str):
-    """Strings of ``alphabet`` of up to 200 characters, a third or so of
-    them over 64: hypothesis seldom draws a long string of a wide range."""
-    return st.one_of(
-        st.text(alphabet=alphabet, max_size=70),
-        st.text(alphabet=alphabet, min_size=60, max_size=200),
-    )
 
 
 class TestSimilarityMatrix:

@@ -41,11 +41,35 @@ def brute_value_score(lefts, rights):
     return sum(max(token_sort_ratio(l, r) for r in rights) for l in lefts) / len(lefts)
 
 
-names = st.sampled_from(
-    ["John Smith", "Smith John", "Jon Smith", "Mary Jones", "Amoxicillin",
-     "Amoksillin", "Fox-Medina", "Fox-Medina Clinic", "widget", "gadget",
-     "x", "zz top", "John  Smith ", "SMITH, JOHN"]
-)
+def assert_value_score_is_brute(lefts, rights):
+    """``value_score`` equals the brute force, or raises when a side has
+    no value whose form is non-empty."""
+    if any(map(has_form, lefts)) and any(map(has_form, rights)):
+        assert value_score(lefts, rights) == brute_value_score(lefts, rights)
+    else:
+        with pytest.raises(ValueError, match="non-empty values"):
+            value_score(lefts, rights)
+
+
+NAMES = ["John Smith", "Smith John", "Jon Smith", "Mary Jones", "Amoxicillin",
+         "Amoksillin", "Fox-Medina", "Fox-Medina Clinic", "widget", "gadget",
+         "x", "zz top", "John  Smith ", "SMITH, JOHN"]
+names = st.sampled_from(NAMES)
+# Values whose sorted-token form is empty: validation drops them.
+FORMLESS = ["--", "-", "张伟"]
+
+
+def spy_kernel(monkeypatch):
+    """The (left forms, right forms) of each ``similarity_matrix`` call
+    that validation makes from now on."""
+    calls = []
+
+    def spy(left_forms, right_forms):
+        calls.append((list(left_forms), list(right_forms)))
+        return similarity_matrix(left_forms, right_forms)
+
+    monkeypatch.setattr(validation, "similarity_matrix", spy)
+    return calls
 
 
 class TestValueScore:
@@ -82,12 +106,14 @@ class TestValueScore:
         assert value_score(["--", "abc"], ["-", "xyz"]) == 0.0
 
     @given(
-        st.lists(names, min_size=1, max_size=8),
-        st.lists(names, min_size=1, max_size=8),
+        st.lists(st.sampled_from(NAMES + FORMLESS), min_size=1, max_size=8),
+        st.lists(st.sampled_from(NAMES + FORMLESS), min_size=1, max_size=8),
     )
     @settings(max_examples=150)
     def test_matches_brute_force_exactly(self, lefts, rights):
-        assert value_score(lefts, rights) == brute_value_score(lefts, rights)
+        # Repeated values and repeated forms: more left rows of one form
+        # than right rows of it, and values whose form is empty.
+        assert_value_score_is_brute(lefts, rights)
 
     @given(
         st.lists(st.text(min_size=1, max_size=12), min_size=1, max_size=6),
@@ -95,15 +121,25 @@ class TestValueScore:
     )
     @settings(max_examples=100)
     def test_arbitrary_text_matches_brute_force(self, lefts, rights):
-        if any(map(has_form, lefts)) and any(map(has_form, rights)):
-            assert value_score(lefts, rights) == brute_value_score(lefts, rights)
-        else:
-            with pytest.raises(ValueError, match="non-empty values"):
-                value_score(lefts, rights)
+        assert_value_score_is_brute(lefts, rights)
 
     @given(st.lists(names, min_size=1, max_size=8), st.lists(names, min_size=1, max_size=8))
     def test_range(self, lefts, rights):
         assert 0.0 <= value_score(lefts, rights) <= 1.0
+
+    def test_kernel_scores_only_forms_without_an_exact_partner(self, monkeypatch):
+        calls = spy_kernel(monkeypatch)
+        got = value_score(["b a", "x y"], ["a b", "x z"])
+        assert got == brute_value_score(["b a", "x y"], ["a b", "x z"])
+        assert calls == [(["x y"], ["a b", "x z"])]
+
+    def test_no_kernel_call_when_every_left_form_has_a_free_partner(self, monkeypatch):
+        calls = spy_kernel(monkeypatch)
+        assert value_score(["b a", "C", "a b"], ["c", "a b", "A, B", "x"]) == 1.0
+        assert calls == []
+        # A third "a b" finds both partners taken, so it is scored.
+        assert value_score(["b a", "a b", "B A"], ["a b", "A, B", "x"]) == 1.0
+        assert calls == [(["a b"], ["a b", "a b", "x"])]
 
 
 def brute_best_matching(lefts, rights, threshold):
@@ -158,6 +194,7 @@ def tuple_sort_fuzzy_jaccard(left_values, right_values, row_threshold):
 # Raw values of one or two short tokens in either order and case: many
 # share a sorted-token form ("b a", "A, B" and "a b" all sort to "a b"), so
 # equal similarities, and ties in the greedy order, are the common case.
+# "--" and "-" have the empty form.
 tied_values = st.sampled_from(
     [
         sep.join(tokens).upper() if upper else sep.join(tokens)
@@ -166,6 +203,7 @@ tied_values = st.sampled_from(
         for sep in (" ", ", ")
         for upper in (False, True)
     ]
+    + ["--", "-"]
 )
 
 
@@ -235,9 +273,24 @@ class TestFuzzyJaccard:
     )
     @settings(max_examples=400)
     def test_greedy_order_matches_tuple_sort(self, lefts, rights, threshold):
-        assert fuzzy_jaccard(lefts, rights, threshold) == tuple_sort_fuzzy_jaccard(
-            lefts, rights, threshold
-        )
+        if any(map(has_form, lefts)) and any(map(has_form, rights)):
+            assert fuzzy_jaccard(lefts, rights, threshold) == tuple_sort_fuzzy_jaccard(
+                lefts, rights, threshold
+            )
+        else:
+            with pytest.raises(ValueError, match="non-empty values"):
+                fuzzy_jaccard(lefts, rights, threshold)
+
+    def test_kernel_scores_only_forms_without_an_exact_partner(self, monkeypatch):
+        calls = spy_kernel(monkeypatch)
+        got = fuzzy_jaccard(["b a", "x y"], ["a b", "x z"], 0.5)
+        assert got == tuple_sort_fuzzy_jaccard(["b a", "x y"], ["a b", "x z"], 0.5) == 1.0
+        assert calls == [(["x y"], ["a b", "x z"])]
+
+    def test_no_kernel_call_when_every_left_form_has_a_free_partner(self, monkeypatch):
+        calls = spy_kernel(monkeypatch)
+        assert fuzzy_jaccard({"b a", "C", "a b"}, {"c", "a b", "A, B", "x"}, 0.5) == 3 / 4
+        assert calls == []
 
     @pytest.mark.parametrize(
         "lefts, rights",
