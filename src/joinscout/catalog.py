@@ -26,6 +26,10 @@ A manifest looks like::
 ``file`` paths are resolved relative to the manifest.  Every cell is text;
 empty string means missing.  Foreign keys stay inside their own database —
 cross-database links are exactly what the rest of the package discovers.
+:func:`load_catalog` reads a catalog and :func:`save_catalog` writes one.
+:func:`write_rows`, the package's one CSV writer, writes each table file
+and the join output of ``executor.write_csv``: the bytes of
+:func:`csv.writer` with its default dialect.
 
 The constructors enforce every manifest rule beyond JSON syntax, so no
 invalid catalog can be built, loaded or generated.  A bad shape raises
@@ -46,7 +50,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import IO, Callable, Iterator, Sequence, TypeVar
 
 from .errors import (
     DanglingForeignKeyError,
@@ -388,8 +392,10 @@ def save_catalog(catalog: Catalog, out_dir: str | Path) -> Path:
     """Write ``catalog`` as one CSV per table plus a manifest.
 
     Layout: ``<out_dir>/<database>/<table>.csv`` and
-    ``<out_dir>/manifest.json``.  Returns the manifest path.  A catalog
-    saved here and loaded back compares equal cell for cell.
+    ``<out_dir>/manifest.json``.  Returns the manifest path.  Each table
+    goes through :func:`write_rows`, the writer of join output too, so its
+    file holds the bytes of :func:`csv.writer`.  A catalog saved here and
+    loaded back compares equal cell for cell.
 
     Raises :class:`ValueError` naming the offender before anything is
     written if a name cannot be one file name inside ``out_dir``: a
@@ -413,9 +419,7 @@ def save_catalog(catalog: Catalog, out_dir: str | Path) -> Path:
         for tab in db.tables:
             rel = f"{db.name}/{tab.name}.csv"
             with (out_dir / rel).open("w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(tab.column_names)
-                writer.writerows(tab.rows())
+                write_rows(fh, list(tab.column_names), list(tab.rows()))
             entry: dict = {
                 "name": tab.name,
                 "file": rel,
@@ -437,6 +441,64 @@ def save_catalog(catalog: Catalog, out_dir: str | Path) -> Path:
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return manifest_path
+
+
+# Data rows per block of joined lines: enough to make each write() call
+# cheap per row, few enough that a block is small next to the result.
+_BLOCK_ROWS = 4096
+
+
+def write_rows(fh: IO[str], header: list[str], rows: list[tuple[str, ...]]) -> None:
+    """Write ``header`` and ``rows`` to ``fh``: the package's one CSV writer,
+    behind :func:`save_catalog` and ``executor.write_csv``.
+
+    The bytes are those of :func:`csv.writer` with its default dialect
+    (excel: comma-separated, a field quoted only when it needs it, ``"``
+    doubled, CRLF line ends), and so is an error and what is written
+    before it.  A data row whose cells are all ``str`` and hold no ``,``,
+    ``"``, ``\\r``, ``\\n`` or NUL, and that has at least two cells, is
+    written as its cells joined with commas, which is what ``csv.writer``
+    writes for it; every other row, and the header, goes through
+    ``csv.writer`` itself.  Rows are written in blocks of a few thousand,
+    so the output is never held twice in memory.
+    """
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    join = ",".join
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        lines = []
+        for row in rows[start : start + _BLOCK_ROWS]:
+            # ",".join raises TypeError on a cell that is not a str.  A row
+            # of fewer than two cells takes csv.writer, which writes a lone
+            # empty cell as "".  A comma count other than one less than the
+            # cells means a cell holds a comma.
+            try:
+                line = join(row) if len(row) > 1 else None
+            except TypeError:
+                line = None
+            if (
+                line is None
+                or line.count(",") != len(row) - 1
+                or '"' in line
+                or "\r" in line
+                or "\n" in line
+                or "\x00" in line
+            ):
+                # Write the lines before it first, so a row csv.writer
+                # rejects leaves the same output behind as csv.writer would.
+                _write_lines(fh, lines)
+                lines = []
+                writer.writerow(row)
+            else:
+                lines.append(line)
+        _write_lines(fh, lines)
+
+
+def _write_lines(fh: IO[str], lines: list[str]) -> None:
+    """Write each of ``lines`` followed by CRLF, in one call."""
+    if lines:
+        lines.append("")
+        fh.write("\r\n".join(lines))
 
 
 def fk_edges(catalog: Catalog) -> list[tuple[TableRef, TableRef, list[tuple[str, str]]]]:

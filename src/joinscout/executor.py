@@ -8,7 +8,7 @@ similarity, keep matches at or above the row threshold, and append a
 
 A fuzzy hop compares sorted-token forms and runs exact first (Wang, Li &
 Feng, "Fast-Join", ICDE 2011).  A value whose form is empty, one without
-an ASCII letter or digit such as ``"--"``, matches nothing on either side.
+a letter or digit such as ``"--"``, matches nothing on either side.
 A left value whose form some right value has takes, with score 1.0, the
 first row of the smallest such right value.  The distinct forms of the
 other left values go through
@@ -27,14 +27,13 @@ multiple foreign-key matches expand in right-table row order.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterator
 
-from .catalog import Catalog, Table, TableRef
+from .catalog import Catalog, Table, TableRef, write_rows
 from .errors import UnknownTableError
 from .graph import EdgeKind, JoinPath
 from .matching import MatchConfig
@@ -210,66 +209,16 @@ def write_csv(
 ) -> int:
     """Write the result as CSV; returns the number of data rows written.
 
-    The bytes are those of :func:`csv.writer` with its default dialect
-    (excel: comma-separated, a field quoted only when it needs it, ``"``
-    doubled, CRLF line ends).  A data row whose cells are all ``str`` and
-    hold no ``,``, ``"``, ``\\r``, ``\\n`` or NUL, and that has at least
-    two cells, is written as its cells joined with commas, which is what
-    ``csv.writer`` writes for it; every other row, and the header, goes
-    through ``csv.writer`` itself.  Rows are written in blocks of a few
-    thousand, so the output is never held twice in memory.
+    The bytes are those of :func:`csv.writer` with its default dialect:
+    :func:`~joinscout.catalog.write_rows` writes them, as it writes the
+    files of a saved catalog.
 
     ``limit`` truncates the output for previews; header always included.
     """
     rows = result.rows if limit is None else result.rows[: max(limit, 0)]
     if hasattr(destination, "write"):
-        _write_rows(destination, result.header(), rows)  # type: ignore[arg-type]
+        write_rows(destination, result.header(), rows)  # type: ignore[arg-type]
     else:
         with Path(destination).open("w", newline="", encoding="utf-8") as fh:
-            _write_rows(fh, result.header(), rows)
+            write_rows(fh, result.header(), rows)
     return len(rows)
-
-
-# Data rows per block of joined lines: enough to make each write() call
-# cheap per row, few enough that a block is small next to the result.
-_BLOCK_ROWS = 4096
-
-
-def _write_rows(fh: IO[str], header: list[str], rows: list[tuple[str, ...]]) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    join = ",".join
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        lines = []
-        for row in rows[start : start + _BLOCK_ROWS]:
-            # ",".join raises TypeError on a cell that is not a str.  A row
-            # of fewer than two cells takes csv.writer, which writes a lone
-            # empty cell as "".  A comma count other than one less than the
-            # cells means a cell holds a comma.
-            try:
-                line = join(row) if len(row) > 1 else None
-            except TypeError:
-                line = None
-            if (
-                line is None
-                or line.count(",") != len(row) - 1
-                or '"' in line
-                or "\r" in line
-                or "\n" in line
-                or "\x00" in line
-            ):
-                # Write the lines before it first, so a row csv.writer
-                # rejects leaves the same output behind as csv.writer would.
-                _write_lines(fh, lines)
-                lines = []
-                writer.writerow(row)
-            else:
-                lines.append(line)
-        _write_lines(fh, lines)
-
-
-def _write_lines(fh: IO[str], lines: list[str]) -> None:
-    """Write each of ``lines`` followed by CRLF, in one call."""
-    if lines:
-        lines.append("")
-        fh.write("\r\n".join(lines))

@@ -140,10 +140,8 @@ def _citizen_id(rng: random.Random) -> str:
     return f"C-{rng.randint(100000, 999999)}"
 
 
-def _date(rng: random.Random, years: tuple[int, int] = (2024, 2025)) -> str:
-    return (
-        f"{rng.randint(*years)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}"
-    )
+def _date(rng: random.Random) -> str:
+    return f"{rng.randint(2024, 2025)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}"
 
 
 def _table(

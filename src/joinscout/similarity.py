@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import re
+import unicodedata
 import zlib
 from difflib import SequenceMatcher
 from typing import Iterable, Sequence
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 _TOKEN = re.compile(r"[0-9a-z]+")
+_WORD = re.compile(r"[^\W_]+")
 _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 
 # Canonical forms for terms that independent data sources routinely name
@@ -67,11 +69,30 @@ DEFAULT_SYNONYMS: dict[str, str] = {
 }
 
 
+def _tokens(text: str) -> list[str]:
+    """The tokens of ``text``: the runs of letters and digits of its folded
+    form, the one rule behind names and values.
+
+    ASCII text folds by lowercasing.  Other text is NFKD-decomposed,
+    casefolded and stripped of its combining marks, so ``"José Müller"``,
+    ``"JOSE MULLER"`` and ``"jose muller"`` share their tokens, and so do
+    ``"straße"`` and ``"strasse"``.  It is decomposed before it is
+    casefolded, since a compatibility character such as ``"ℂ"`` decomposes
+    to a capital.  Letters of every script count, so a Cyrillic or Chinese
+    name has tokens, and an underscore separates them.
+    """
+    # On lowercase ASCII, _TOKEN finds what _WORD finds, about 1.2x faster.
+    if text.isascii():
+        return _TOKEN.findall(text.lower())
+    folded = unicodedata.normalize("NFKD", text).casefold()
+    bare = "".join(ch for ch in folded if not unicodedata.category(ch).startswith("M"))
+    return _WORD.findall(bare)
+
+
 def normalize(text: str) -> str:
-    """The tokens of the lowercased text, joined with one space: a token is
-    a run of ASCII letters and digits, so ``normalize("Müller")`` is
-    ``"m ller"``."""
-    return " ".join(_TOKEN.findall(text.lower()))
+    """The tokens of the text, joined with one space: ``normalize("Müller,
+    José")`` is ``"muller jose"``."""
+    return " ".join(_tokens(text))
 
 
 def gestalt_ratio(a: str, b: str) -> float:
@@ -233,8 +254,8 @@ def _spread(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sorted_token_form(text: str) -> str:
     """The tokens of :func:`normalize`, sorted and joined with spaces:
-    ``sorted_token_form("Müller, José")`` is ``"jos ller m"``."""
-    return " ".join(sorted(_TOKEN.findall(text.lower())))
+    ``sorted_token_form("Müller, José")`` is ``"jose muller"``."""
+    return " ".join(sorted(_tokens(text)))
 
 
 def token_sort_ratio(a: str, b: str) -> float:
@@ -253,10 +274,10 @@ _MEMO_LIMIT = 4096
 
 @functools.lru_cache(maxsize=_MEMO_LIMIT)
 def token_set(text: str) -> frozenset[str]:
-    """Tokens of ``text``, splitting on camelCase and on every character
-    other than an ASCII letter or digit: ``token_set("patientNäme")`` is
-    ``{"patient", "n", "me"}``."""
-    return frozenset(_TOKEN.findall(_CAMEL_BOUNDARY.sub(" ", text).lower()))
+    """Tokens of ``text``, as :func:`normalize` finds them after a split
+    before each ASCII capital that follows an ASCII lowercase letter or
+    digit: ``token_set("patientNäme")`` is ``{"patient", "name"}``."""
+    return frozenset(_tokens(_CAMEL_BOUNDARY.sub(" ", text)))
 
 
 def token_overlap(a: str, b: str) -> float:
@@ -288,7 +309,7 @@ def _embedding(text: str) -> tuple[np.ndarray, float]:
     Deterministic across processes and platforms.  The vector is shared
     between callers, so it is read-only.
     """
-    tokens = _TOKEN.findall(_CAMEL_BOUNDARY.sub(" ", text).lower())
+    tokens = _tokens(_CAMEL_BOUNDARY.sub(" ", text))
     canon = " ".join(DEFAULT_SYNONYMS.get(tok, tok) for tok in tokens)
     vec = np.zeros(_EMBEDDING_DIMENSION, dtype=np.float64)
     if len(canon) >= 3:

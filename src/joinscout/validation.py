@@ -13,8 +13,8 @@ survive a look at the data:
 
 Columns are compared on distinct values only; large columns are first cut
 down to a seeded deterministic sample of ``sample_cap`` values.  A value
-whose sorted-token form is empty, one without an ASCII letter or digit
-such as ``"--"``, is no value: it matches nothing, as an empty cell does.
+whose sorted-token form is empty, one without a letter or digit such as
+``"--"``, is no value: it matches nothing, as an empty cell does.
 One matcher computes both scores.  It matches exact forms first: a left
 value whose form equals a free right form scores 1.0 and is matched to
 it, since the kernel scores equal forms, and only those, 1.0.

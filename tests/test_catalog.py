@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from joinscout.catalog import (
+    _BLOCK_ROWS,
     Catalog,
     Column,
     ColumnRef,
@@ -535,6 +539,61 @@ def test_save_keeps_dotted_names(tmp_path):
     manifest = save_catalog(cat, tmp_path / "out")
     assert (tmp_path / "out" / "a.b" / "..T..csv").is_file()
     assert load_catalog(manifest) == cat
+
+
+# Every character csv.writer treats specially, a space and a non-ASCII letter.
+WRITER_TEXT = st.one_of(st.just(""), st.text(alphabet=["a", ",", '"', "\r", "\n", "\x00", " ", "é"], max_size=4))
+
+
+@st.composite
+def writer_tables(draw) -> list[Table]:
+    """One to three tables of one to four columns, with cells and names
+    that exercise every branch of ``write_rows``."""
+    tables = []
+    for k in range(draw(st.integers(1, 3))):
+        names = draw(st.lists(WRITER_TEXT.filter(bool), min_size=1, max_size=4, unique=True))
+        n_rows = draw(st.integers(0, 6))
+        columns = tuple(
+            Column(name, tuple(draw(st.lists(WRITER_TEXT, min_size=n_rows, max_size=n_rows))))
+            for name in names
+        )
+        tables.append(Table(f"t{k}", columns))
+    return tables
+
+
+def csv_writer_files(tables: list[Table]) -> tuple[dict[str, str], tuple[type, str] | None]:
+    """What ``csv.writer`` writes for each table, in order, and the error
+    that stops it, if one does: the files a save should leave behind."""
+    files = {}
+    for tab in tables:
+        buf = io.StringIO()
+        try:
+            writer = csv.writer(buf)
+            writer.writerow(tab.column_names)
+            writer.writerows(tab.rows())
+        except Exception as exc:  # the oracle compares any error
+            files[f"{tab.name}.csv"] = buf.getvalue()
+            return files, (type(exc), str(exc))
+        files[f"{tab.name}.csv"] = buf.getvalue()
+    return files, None
+
+
+@given(writer_tables(), st.sampled_from([1, 2, _BLOCK_ROWS]))
+# csv.writer writes a lone empty cell as "", which a plain join would not.
+@example([Table("t0", (Column("a", ("", "a", "")),))], 1)
+@settings(max_examples=300, deadline=None)
+def test_save_writes_the_bytes_of_csv_writer(tables, block_rows):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch("joinscout.catalog._BLOCK_ROWS", block_rows):
+        out = Path(tmp)
+        try:
+            save_catalog(Catalog((Database("d", tuple(tables)),)), out)
+            error = None
+        except Exception as exc:  # the oracle compares any error
+            error = (type(exc), str(exc))
+        written = {
+            path.name: path.read_bytes().decode("utf-8") for path in sorted((out / "d").glob("*.csv"))
+        }
+    assert (written, error) == csv_writer_files(tables)
 
 
 def test_fk_edges_order(tmp_path):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from joinscout import executor, similarity
-from joinscout.catalog import Catalog, Database, ForeignKey, TableRef
+from joinscout.catalog import _BLOCK_ROWS, Catalog, Database, ForeignKey, TableRef
 from joinscout.errors import UnknownTableError
 from joinscout.executor import ResultTable, execute_path, write_csv
 from joinscout.fuzzgen import generate_catalog
@@ -172,14 +172,26 @@ class TestFuzzyHop:
         assert result.rows == [("real", "real", "1.000")]
 
     def test_values_whose_form_is_empty_never_match(self):
-        # Cyrillic, Chinese and "--" have no ASCII letter or digit, so
-        # their forms are empty, and a value whose form is empty is no value.
-        left = make_table("L", {"name": ["Иван Петров", "--", "b a"]})
-        right = make_table("R", {"label": ["张伟", "a b", "-"]})
+        # "«—»", "_·_" and "--" have no letter or digit, so their forms are
+        # empty, and a value whose form is empty is no value.
+        left = make_table("L", {"name": ["«—»", "--", "b a"]})
+        right = make_table("R", {"label": ["_·_", "a b", "-"]})
         cat, path = one_fuzzy_hop(left, right)
         result = execute_path(path, cat, MatchConfig(row_threshold=0.0))
         assert result.rows == [("b a", "a b", "1.000")]
         assert result == reference_join(path, cat, 0.0)
+
+    def test_accented_and_other_script_values_match_exactly(self):
+        left = make_table("L", {"name": ["José Müller", "Иван Петров", "Zoë"]})
+        right = make_table("R", {"label": ["Zoe", "Muller, Jose", "ПЕТРОВ Иван", "张伟"]})
+        cat, path = one_fuzzy_hop(left, right)
+        result = execute_path(path, cat)
+        assert result.rows == [
+            ("José Müller", "Muller, Jose", "1.000"),
+            ("Иван Петров", "ПЕТРОВ Иван", "1.000"),
+            ("Zoë", "Zoe", "1.000"),
+        ]
+        assert result == reference_join(path, cat, MatchConfig().row_threshold)
 
     def test_scores_format_to_three_decimals(self, memory_catalog):
         path = make_path([USERS, PEOPLE], [FUZZY_EDGE])
@@ -393,12 +405,12 @@ class TestWriteCsv:
     @given(
         st.lists(st.lists(_CELLS, max_size=4).map(tuple), max_size=8),
         st.sampled_from([None, -1, 0, 1, 3]),
-        st.sampled_from([1, 2, executor._BLOCK_ROWS]),
+        st.sampled_from([1, 2, _BLOCK_ROWS]),
     )
     @settings(max_examples=500)
     def test_matches_csv_writer_on_random_rows(self, rows, limit, block_rows):
         table = ResultTable(columns=[(USERS, "a"), (USERS, "b")], rows=rows)
-        with mock.patch.object(executor, "_BLOCK_ROWS", block_rows):
+        with mock.patch("joinscout.catalog._BLOCK_ROWS", block_rows):
             assert csv_outcome(write_csv, table, limit) == csv_outcome(reference_csv, table, limit)
 
     @pytest.mark.parametrize(
@@ -410,7 +422,7 @@ class TestWriteCsv:
 
     @pytest.mark.parametrize("block_rows", [1, 2])
     def test_block_boundaries(self, monkeypatch, block_rows):
-        monkeypatch.setattr(executor, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr("joinscout.catalog._BLOCK_ROWS", block_rows)
         rows = [("a", "b"), ("c,d", "e"), ("f", "g"), ("h", "i"), ("j", "k"), ('"', "l"), ("m", "n")]
         table = ResultTable(columns=[(USERS, "a"), (USERS, "b")], rows=rows)
         for limit in (None, 1, 2, 3, 4, 5):

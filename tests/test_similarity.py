@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+import unicodedata
 from difflib import SequenceMatcher
 
 import numpy as np
@@ -61,11 +62,14 @@ def texts_to_200(alphabet=st.characters(codec="utf-8")):
 
 
 def reference_tokens(text: str) -> list[str]:
-    """Runs of ASCII letters and digits of the lowercased text, found by a
-    character loop rather than a regex."""
+    """Runs of letters and digits of the NFKD-decomposed, casefolded text
+    without its combining marks, found by a character loop rather than a
+    regex, with no shortcut for ASCII text."""
     tokens, run = [], ""
-    for ch in text.lower() + " ":
-        if "a" <= ch <= "z" or "0" <= ch <= "9":
+    for ch in unicodedata.normalize("NFKD", text).casefold() + " ":
+        if unicodedata.category(ch).startswith("M"):
+            continue
+        if ch.isalnum():
             run += ch
         elif run:
             tokens.append(run)
@@ -94,27 +98,34 @@ class TestNormalize:
     def test_strips_edges(self):
         assert normalize("__x__") == "x"
 
-    def test_keeps_only_ascii_letters_and_digits(self):
-        # "ü".isalnum() is True, yet normalisation drops every character
-        # outside [0-9a-z] after lowercasing.
-        assert sorted_token_form("Müller, José") == "jos ller m"
-        assert token_set("patientNäme") == {"patient", "n", "me"}
+    def test_folds_accents_and_keeps_letters_of_every_script(self):
+        assert sorted_token_form("Müller, José") == "jose muller"
+        assert token_set("patientNäme") == {"patient", "name"}
+        assert normalize("İstanbul STRASSE straße") == "istanbul strasse strasse"
+        # A compatibility character decomposes to a capital, which folds too.
+        assert normalize("\u2102\u212a ﬁx") == "ck fix"
+        assert normalize("Иван ПЕТРОВ, 张伟") == "иван петров 张伟"
+        # Marks of a script go with the accents; an underscore separates.
+        assert normalize("नमस्ते_Zoë") == "नमसत zoe"
 
     def test_empty(self):
         assert normalize("") == ""
         assert normalize("!!!") == ""
+        assert normalize("«—» _·_ \u0301") == ""
 
     @given(st.text(max_size=30))
     @example("İstanbul straße ΣΑΣ\x00 x😀y")
     @example("\u212aelvin ﬁx ÅB\tc")
+    @example("\u2102ℌ Ǆ ΐ ᴬ ǅ")
     @settings(max_examples=500)
     def test_sorted_token_form_sorts_the_normalized_tokens(self, text):
         tokens = reference_tokens(text)
         assert normalize(text) == " ".join(tokens)
         assert sorted_token_form(text) == " ".join(sorted(tokens))
 
-    @given(st.text(alphabet="aZbY09_ -İK\u212a", max_size=30))
+    @given(st.text(alphabet="aZbY09_ -İK\u212aéÉ", max_size=30))
     @example("patientNäme2Id")
+    @example("müllerJosé")
     @settings(max_examples=300)
     def test_token_set_splits_camel_case_then_normalizes(self, text):
         assert token_set(text) == set(reference_tokens(reference_camel_split(text)))
@@ -394,6 +405,28 @@ class TestTokenSortRatio:
     def test_sorted_token_form(self):
         assert sorted_token_form("Reed, Blair and Allen") == "allen and blair reed"
 
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ("José Müller", "Jose Muller"),
+            ("Zoë", "Zoe"),
+            ("İstanbul straße", "istanbul strasse"),
+            ("Иван Петров", "ПЕТРОВ, Иван"),
+        ],
+    )
+    def test_accents_and_case_fold_in_every_script(self, a, b):
+        # Two empty forms would score 1.0 too, so the forms must hold tokens.
+        assert sorted_token_form(a) == sorted_token_form(b) != ""
+        assert token_sort_ratio(a, b) == 1.0
+        assert similarity_matrix([sorted_token_form(a)], [sorted_token_form(b)])[0, 0] == 1.0
+
+    def test_scripts_share_no_characters(self):
+        assert token_sort_ratio("Иван Петров", "张伟") == 0.0
+
+    @given(st.text(max_size=30))
+    def test_folding_twice_changes_nothing(self, text):
+        assert sorted_token_form(sorted_token_form(text)) == sorted_token_form(text)
+
     @given(
         st.lists(st.text(alphabet="abcdef", min_size=1, max_size=6), min_size=1, max_size=5),
         st.randoms(use_true_random=False),
@@ -515,6 +548,9 @@ class TestSemanticSim:
 
     def test_related_terms_score_high(self):
         assert semantic_sim("medication_name", "drug_name") == pytest.approx(1.0)
+
+    def test_accented_names_fold(self):
+        assert semantic_sim("Straße_Médicament", "strasse_medicament") == pytest.approx(1.0)
 
     @given(st.text(max_size=20), st.text(max_size=20))
     @settings(max_examples=60)

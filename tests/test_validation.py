@@ -56,7 +56,7 @@ NAMES = ["John Smith", "Smith John", "Jon Smith", "Mary Jones", "Amoxicillin",
          "x", "zz top", "John  Smith ", "SMITH, JOHN"]
 names = st.sampled_from(NAMES)
 # Values whose sorted-token form is empty: validation drops them.
-FORMLESS = ["--", "-", "张伟"]
+FORMLESS = ["--", "-", "«—»"]
 
 
 def spy_kernel(monkeypatch):
@@ -96,14 +96,20 @@ class TestValueScore:
             value_score(["x"], ["", ""])
 
     def test_values_whose_form_is_empty_match_nothing(self):
-        # Cyrillic, Chinese and "--" have no ASCII letter or digit, so
-        # their forms are empty, and a value whose form is empty is no value.
+        # "«—»", "_·_" and "--" have no letter or digit, so their forms are
+        # empty, and a value whose form is empty is no value.
         with pytest.raises(ValueError, match="non-empty values"):
-            value_score(["Иван Петров"], ["张伟"])
+            value_score(["«—»"], ["_·_"])
         with pytest.raises(ValueError, match="non-empty values"):
-            value_score(["x"], ["--", "张伟"])
-        assert value_score(["Иван Петров", "b a"], ["张伟", "a b"]) == 1.0
+            value_score(["x"], ["--", "_·_"])
+        assert value_score(["«—»", "b a"], ["_·_", "a b"]) == 1.0
         assert value_score(["--", "abc"], ["-", "xyz"]) == 0.0
+
+    def test_accented_and_other_script_values_fold(self):
+        lefts = ["José Müller", "Zoë", "Иван Петров"]
+        rights = ["muller jose", "ZOE", "Петров Иван", "张伟"]
+        assert value_score(lefts, rights) == 1.0
+        assert fuzzy_jaccard(set(lefts), set(rights), 1.0) == 3 / 4
 
     @given(
         st.lists(st.sampled_from(NAMES + FORMLESS), min_size=1, max_size=8),
@@ -230,7 +236,7 @@ class TestFuzzyJaccard:
         with pytest.raises(ValueError, match="non-empty values"):
             fuzzy_jaccard({""}, {"x"}, 0.5)
         with pytest.raises(ValueError, match="non-empty values"):
-            fuzzy_jaccard({"Иван Петров"}, {"张伟"}, 0.5)
+            fuzzy_jaccard({"«—»"}, {"_·_"}, 0.5)
 
     def test_values_whose_form_is_empty_are_left_out(self):
         # "--" and "-" neither match each other nor count in |L| or |R|.
@@ -384,11 +390,11 @@ class TestValidate:
     def test_rejects_columns_whose_values_have_empty_forms(self):
         # Every value on each side has the empty form, so neither side has
         # a value left.
-        russian = make_table("R", {"full_name": ["Иван Петров", "Мария Иванова", "--"]})
-        chinese = make_table("C", {"full_name": ["张伟", "王芳", "李娜", "刘洋"]})
-        cat = Catalog(databases=(Database("ru", (russian,)), Database("zh", (chinese,))))
+        dashes = make_table("R", {"full_name": ["«—»", "–", "--"]})
+        dots = make_table("C", {"full_name": ["·", "_·_", "…", "¿?"]})
+        cat = Catalog(databases=(Database("dash", (dashes,)), Database("dot", (dots,))))
         match = _match_for(
-            cat, ColumnRef("ru", "R", "full_name"), ColumnRef("zh", "C", "full_name")
+            cat, ColumnRef("dash", "R", "full_name"), ColumnRef("dot", "C", "full_name")
         )
         assert validate_many([match], cat, MatchConfig(row_threshold=0.0)) == []
 
